@@ -35,6 +35,7 @@ import (
 	"canely/internal/core/proto"
 	"canely/internal/edcan"
 	"canely/internal/experiments"
+	"canely/internal/fptest"
 	"canely/internal/sim"
 )
 
@@ -154,13 +155,13 @@ type fdaAgent struct {
 func newFDAAgent(layer *canlayer.Layer) *fdaAgent {
 	a := &fdaAgent{layer: layer, core: fd.NewFDA()}
 	layer.HandleRTRInd(func(mid can.MID) {
-		a.exec(a.core.Step(proto.Event{Kind: proto.EvRTRInd, MID: mid}))
+		a.exec(fptest.Emit(a.core, proto.Event{Kind: proto.EvRTRInd, MID: mid}))
 	})
 	return a
 }
 
 func (a *fdaAgent) Request(failed can.NodeID) {
-	a.exec(a.core.Step(proto.Event{Kind: proto.EvFDARequest, Node: failed}))
+	a.exec(fptest.Emit(a.core, proto.Event{Kind: proto.EvFDARequest, Node: failed}))
 }
 
 func (a *fdaAgent) exec(cmds []proto.Command) {

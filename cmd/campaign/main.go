@@ -116,15 +116,11 @@ type benchReport struct {
 	P99DetectionMs   float64           `json:"p99_detection_ms"`
 	// AllocsPerRun/BytesPerRun is the heap churn of one complete campaign
 	// run (fast substrate, workers=1): the PR-over-PR allocation trajectory.
-	AllocsPerRun float64 `json:"allocs_per_run"`
-	BytesPerRun  float64 `json:"bytes_per_run"`
-	// The pre-PR fast/workers=1 throughput on this host and the speedup the
-	// current numbers show against it.
-	PrePRFastW1RunsPerSec float64           `json:"pre_pr_fast_w1_runs_per_sec"`
-	FastW1SpeedupVsPrePR  float64           `json:"fast_w1_speedup_vs_pre_pr"`
-	SteadyState           *steadyStateStats `json:"steady_state"`
-	Federation            *federationStats  `json:"federation"`
-	GossipComparison      *gossipStats      `json:"gossip_comparison"`
+	AllocsPerRun     float64           `json:"allocs_per_run"`
+	BytesPerRun      float64           `json:"bytes_per_run"`
+	SteadyState      *steadyStateStats `json:"steady_state"`
+	Federation       *federationStats  `json:"federation"`
+	GossipComparison *gossipStats      `json:"gossip_comparison"`
 }
 
 // gossipStats is the CANELy-vs-SWIM scaling section of the bench
@@ -252,18 +248,6 @@ type benchPoint struct {
 	AllocsPerRun float64 `json:"allocs_per_run"`
 }
 
-// Pre-PR steady-state baseline (BenchmarkSteadyStateStep on the command
-// stream / eager-tracing code before the zero-allocation pass), kept here so
-// every regenerated BENCH_campaign.json carries the comparison.
-const (
-	prePRSteadyAllocsPerOp = 8991
-	prePRSteadyBytesPerOp  = 2119357
-	prePRSteadyNsPerOp     = 1970422
-	// Campaign throughput (fast substrate, workers=1, E10 grid) measured on
-	// the same 1-CPU host immediately before this pass.
-	prePRFastW1RunsPerSec = 3664.7
-)
-
 // steadyStateStats mirrors BenchmarkSteadyStateStep: one op advances an
 // 8-node bootstrapped fast-substrate network by one second of virtual time
 // with no membership churn.
@@ -272,10 +256,6 @@ type steadyStateStats struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
-	// The pre-PR numbers the current ones are compared against.
-	PrePRNsPerOp     float64 `json:"pre_pr_ns_per_op"`
-	PrePRAllocsPerOp float64 `json:"pre_pr_allocs_per_op"`
-	PrePRBytesPerOp  float64 `json:"pre_pr_bytes_per_op"`
 }
 
 // measureSteadyState is the in-CLI twin of BenchmarkSteadyStateStep, so one
@@ -297,13 +277,10 @@ func measureSteadyState() *steadyStateStats {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return &steadyStateStats{
-		Benchmark:        "steady-state-step (8 nodes, 1s virtual time per op)",
-		NsPerOp:          float64(elapsed.Nanoseconds()) / ops,
-		AllocsPerOp:      float64(after.Mallocs-before.Mallocs) / ops,
-		BytesPerOp:       float64(after.TotalAlloc-before.TotalAlloc) / ops,
-		PrePRNsPerOp:     prePRSteadyNsPerOp,
-		PrePRAllocsPerOp: prePRSteadyAllocsPerOp,
-		PrePRBytesPerOp:  prePRSteadyBytesPerOp,
+		Benchmark:   "steady-state-step (8 nodes, 1s virtual time per op)",
+		NsPerOp:     float64(elapsed.Nanoseconds()) / ops,
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / ops,
+		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / ops,
 	}
 }
 
@@ -383,8 +360,6 @@ func measureThroughput(grid string, nodes, seeds int) benchReport {
 		if bit > 0 {
 			rep.FastVsBitSpeedup = fast / bit
 		}
-		rep.PrePRFastW1RunsPerSec = prePRFastW1RunsPerSec
-		rep.FastW1SpeedupVsPrePR = fast / prePRFastW1RunsPerSec
 	}
 	return rep
 }

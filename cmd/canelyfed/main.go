@@ -32,7 +32,6 @@ import (
 	"canely/internal/can"
 	"canely/internal/core/fd"
 	"canely/internal/core/membership"
-	"canely/internal/replay"
 	"canely/internal/rt"
 	"canely/internal/stack"
 )
@@ -210,23 +209,10 @@ func main() {
 
 	g.Close()
 	if *record != "" {
-		if err := saveLog(g.EventLog(), *record); err != nil {
+		if err := g.EventLog().SaveFile(*record); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		logf("recorded %d federation events to %s", len(g.EventLog().Records), *record)
 	}
-}
-
-// saveLog writes a recorded event log to path.
-func saveLog(log *replay.Log, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := log.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

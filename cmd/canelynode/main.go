@@ -30,7 +30,6 @@ import (
 	"canely/internal/can"
 	"canely/internal/core/fd"
 	"canely/internal/core/membership"
-	"canely/internal/replay"
 	"canely/internal/rt"
 	"canely/internal/stack"
 )
@@ -166,23 +165,10 @@ func main() {
 
 	n.Close()
 	if *record != "" {
-		if err := saveLog(n.EventLog(), *record); err != nil {
+		if err := n.EventLog().SaveFile(*record); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		logf("recorded %d core events to %s", len(n.EventLog().Records), *record)
 	}
-}
-
-// saveLog writes a recorded event log to path.
-func saveLog(log *replay.Log, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := log.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -194,25 +194,12 @@ func main() {
 	fmt.Printf("overall bus utilization: %.2f%% over %v\n", 100*u, net.Now())
 
 	if *record != "" {
-		if err := saveLog(net.EventLog(), *record); err != nil {
+		if err := net.EventLog().SaveFile(*record); err != nil {
 			fmt.Fprintln(os.Stderr, "canelysim:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nrecorded %d core events to %s\n", len(net.EventLog().Records), *record)
 	}
-}
-
-// saveLog writes a recorded event log to path.
-func saveLog(log *replay.Log, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := log.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // verifyReplay loads a recorded log and re-executes it on fresh cores,

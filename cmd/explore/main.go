@@ -60,16 +60,33 @@ var dropTypes = map[string]can.MsgType{
 	"gossip": can.TypeGossip,
 }
 
+// scenarioByName resolves a -scenario value through explore.Scenarios; the
+// empty name selects the table's first entry, the default.
+func scenarioByName(name string) (explore.Scenario, error) {
+	var known []string
+	for i, s := range explore.Scenarios {
+		if s.Name == name || name == "" && i == 0 {
+			return s.New(), nil
+		}
+		known = append(known, strconv.Quote(s.Name))
+	}
+	return explore.Scenario{}, fmt.Errorf("unknown -scenario %q (want %s)", name, strings.Join(known, " or "))
+}
+
+// scenarioHelp renders the -scenario flag's usage text from the same table.
+func scenarioHelp() string {
+	var known []string
+	for _, s := range explore.Scenarios {
+		known = append(known, fmt.Sprintf("%s (%s)", s.Name, s.Doc))
+	}
+	return "scenario to explore: " + strings.Join(known, " or ")
+}
+
 // buildScenario applies the option overrides to the selected scenario.
 func buildScenario(o options) (explore.Scenario, error) {
-	var sc explore.Scenario
-	switch o.scenario {
-	case "", "canely":
-		sc = explore.DefaultScenario()
-	case "gossip":
-		sc = explore.DefaultGossipScenario()
-	default:
-		return sc, fmt.Errorf("unknown -scenario %q (want \"canely\" or \"gossip\")", o.scenario)
+	sc, err := scenarioByName(o.scenario)
+	if err != nil {
+		return sc, err
 	}
 	if o.depth > 0 {
 		sc.MaxDepth = o.depth
@@ -160,7 +177,7 @@ func run(out, progress io.Writer, o options) int {
 	if v := res.Violation; v != nil {
 		fmt.Fprintf(out, "VIOLATION after %d runs: %s\n", res.Runs(), v.Msg)
 		fmt.Fprintf(out, "decision vector (%d choices): %v\n", len(v.Vec), v.Vec)
-		if err := saveCounterexample(v, o.out); err != nil {
+		if err := v.Log.SaveFile(o.out); err != nil {
 			fmt.Fprintln(progress, "explore:", err)
 		} else {
 			fmt.Fprintf(out, "counterexample saved to %s (%d records); verify with: canelysim -replay %s\n",
@@ -194,22 +211,9 @@ func progressLine(s explore.Stats, elapsed time.Duration) string {
 		s.Resumed, hitRate, s.ReplaySaved, s.Snapshots, s.SnapBytes>>10)
 }
 
-// saveCounterexample writes the violation's replay log to path.
-func saveCounterexample(v *explore.Violation, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := v.Log.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	var o options
-	flag.StringVar(&o.scenario, "scenario", "canely", "scenario to explore: canely (composite cores) or gossip (SWIM baseline)")
+	flag.StringVar(&o.scenario, "scenario", explore.Scenarios[0].Name, scenarioHelp())
 	flag.IntVar(&o.workers, "workers", 1, "worker pool size")
 	flag.Uint64Var(&o.schedules, "schedules", 0, "stop after this many schedule runs (0 = exhaust the tree)")
 	flag.IntVar(&o.depth, "depth", 0, "override the decision-depth bound (0 = scenario default)")

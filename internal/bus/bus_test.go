@@ -224,34 +224,6 @@ func TestCrashStopsReception(t *testing.T) {
 	}
 }
 
-func TestRequestRejectedAfterCrash(t *testing.T) {
-	r := newRig(t, 2, nil)
-	r.ports[0].Crash()
-	if err := r.ports[0].Request(dataFrame(0, 1)); err == nil {
-		t.Fatal("request on crashed node must be rejected")
-	}
-}
-
-func TestAbortPendingOnly(t *testing.T) {
-	r := newRig(t, 2, nil)
-	f1 := rtrFrame(can.FDASign(1))
-	f2 := dataFrame(0, 9)
-	r.ports[0].Request(f1)
-	r.ports[0].Request(f2)
-	// Step into the first transmission: f1 is on the wire, f2 pending.
-	r.sched.Step() // arbitration event
-	if ok := r.ports[0].Abort(f1.ID); ok {
-		t.Fatal("abort must not recall a frame on the wire")
-	}
-	if ok := r.ports[0].Abort(f2.ID); !ok {
-		t.Fatal("abort of a pending request must succeed")
-	}
-	r.sched.Run()
-	if len(r.recs[1].frames) != 1 || r.recs[1].frames[0].ID != f1.ID {
-		t.Fatal("only the on-wire frame should have been delivered")
-	}
-}
-
 func TestRequestReplacesSameID(t *testing.T) {
 	r := newRig(t, 2, nil)
 	blocker := rtrFrame(can.FDASign(0))
@@ -272,25 +244,6 @@ func TestRequestReplacesSameID(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Data[0] != 2 {
 		t.Fatalf("replacement failed: %v", got)
-	}
-}
-
-func TestPendingEquivalent(t *testing.T) {
-	r := newRig(t, 2, nil)
-	blocker := dataFrame(1, 1)
-	r.ports[1].Request(blocker)
-	r.sched.Step() // blocker on the wire
-	f := rtrFrame(can.FDASign(3))
-	r.ports[0].Request(f)
-	if !r.ports[0].PendingEquivalent(f) {
-		t.Fatal("queued equivalent not found")
-	}
-	if r.ports[0].PendingEquivalent(rtrFrame(can.FDASign(4))) {
-		t.Fatal("different param should not be equivalent")
-	}
-	r.sched.Run()
-	if r.ports[0].PendingEquivalent(f) {
-		t.Fatal("transmitted request should leave the queue")
 	}
 }
 
@@ -378,16 +331,6 @@ func TestStatsSubWindow(t *testing.T) {
 	if window.BitsBusy != before.BitsBusy {
 		t.Fatal("two identical frames should cost the same bits")
 	}
-}
-
-func TestAttachTwicePanics(t *testing.T) {
-	r := newRig(t, 1, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double attach should panic")
-		}
-	}()
-	r.bus.Attach(0)
 }
 
 func TestIdentifierCollisionPanics(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"canely/internal/core/fd"
 	"canely/internal/core/membership"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 )
 
 // benchNode builds a bootstrapped composite core mid-protocol — the state a
@@ -27,9 +28,9 @@ func benchNode(b *testing.B) *core.Node {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n.Step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: 0})
-	n.Step(proto.Event{Kind: proto.EvRTRInd, MID: can.JoinSign(2), At: fpAt(1)})
-	n.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerMshCycle, At: fpAt(50), Node: 0})
+	fptest.Emit(n, proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: 0})
+	fptest.Emit(n, proto.Event{Kind: proto.EvRTRInd, MID: can.JoinSign(2), At: fpAt(1)})
+	fptest.Emit(n, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerMshCycle, At: fpAt(50), Node: 0})
 	return n
 }
 

@@ -103,14 +103,6 @@ func (d *Detector) Clone() *Detector {
 // restarts. The exploration engine's settle shortcut keys on it.
 func (d *Detector) Quiet() bool { return d.fdaInFlight.Empty() }
 
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (d *Detector) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	d.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, appending the resulting commands to buf.
 // The common case — traffic activity restarting a forward-moving deadline —
 // appends nothing.

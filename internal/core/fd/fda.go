@@ -45,14 +45,6 @@ func (f *FDA) Clone() *FDA {
 	return &c
 }
 
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (f *FDA) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	f.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, appending the resulting commands to buf.
 func (f *FDA) StepInto(ev proto.Event, buf *proto.CommandBuf) {
 	switch ev.Kind {

@@ -18,7 +18,7 @@ func at(ms int) sim.Time { return sim.Time(time.Duration(ms) * time.Millisecond)
 // reintegration reset all perturb the hash; non-FDA traffic and absorbed
 // retractions do not.
 func TestFDAFingerprint(t *testing.T) {
-	fptest.Check(t, func() fptest.Core { return fd.NewFDA() }, []fptest.Step{
+	fptest.Check(t, func() proto.Machine { return fd.NewFDA() }, []fptest.Step{
 		{Name: "first request", Ev: proto.Event{Kind: proto.EvFDARequest, Node: 1}, Mutates: true},
 		{Name: "repeat request", Ev: proto.Event{Kind: proto.EvFDARequest, Node: 1}, Mutates: true},
 		{Name: "first sign copy", Ev: proto.Event{Kind: proto.EvRTRInd, MID: can.FDASign(1)}, Mutates: true},
@@ -36,8 +36,8 @@ func TestFDAFingerprint(t *testing.T) {
 // afterwards.
 func TestFDAClone(t *testing.T) {
 	fptest.CheckClone(t,
-		func() fptest.Core { return fd.NewFDA() },
-		func(c fptest.Core) fptest.Core { return c.(*fd.FDA).Clone() },
+		func() proto.Machine { return fd.NewFDA() },
+		func(c proto.Machine) proto.Machine { return c.(*fd.FDA).Clone() },
 		[]fptest.Step{
 			{Name: "first request", Ev: proto.Event{Kind: proto.EvFDARequest, Node: 1}, Mutates: true},
 			{Name: "first sign copy", Ev: proto.Event{Kind: proto.EvRTRInd, MID: can.FDASign(1)}, Mutates: true},
@@ -52,7 +52,7 @@ func TestFDAClone(t *testing.T) {
 // stop-with-agreement-in-flight and the late stale agreement.
 func TestDetectorFingerprint(t *testing.T) {
 	cfg := fd.Config{Tb: 10 * time.Millisecond, Ttd: 2 * time.Millisecond}
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		d, err := fd.NewDetector(0, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestDetectorFingerprint(t *testing.T) {
 // surveillance machinery the fingerprint test exercises.
 func TestDetectorClone(t *testing.T) {
 	cfg := fd.Config{Tb: 10 * time.Millisecond, Ttd: 2 * time.Millisecond}
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		d, err := fd.NewDetector(0, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestDetectorClone(t *testing.T) {
 		return d
 	}
 	fptest.CheckClone(t, fresh,
-		func(c fptest.Core) fptest.Core { return c.(*fd.Detector).Clone() },
+		func(c proto.Machine) proto.Machine { return c.(*fd.Detector).Clone() },
 		[]fptest.Step{
 			{Name: "start local surveillance", Ev: proto.Event{Kind: proto.EvFDStart, Node: 0, At: at(0)}, Mutates: true},
 			{Name: "start remote surveillance", Ev: proto.Event{Kind: proto.EvFDStart, Node: 1, At: at(0)}, Mutates: true},

@@ -29,7 +29,7 @@ func TestNodeFingerprint(t *testing.T) {
 			RHA:       membership.RHAConfig{Trha: 5 * time.Millisecond, J: 2},
 		},
 	}
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		n, err := core.New(0, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestNodeClone(t *testing.T) {
 			RHA:       membership.RHAConfig{Trha: 5 * time.Millisecond, J: 2},
 		},
 	}
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		n, err := core.New(0, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestNodeClone(t *testing.T) {
 		return n
 	}
 	fptest.CheckClone(t, fresh,
-		func(c fptest.Core) fptest.Core { return c.(*core.Node).Clone() },
+		func(c proto.Machine) proto.Machine { return c.(*core.Node).Clone() },
 		[]fptest.Step{
 			{Name: "bootstrap", Ev: proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: fpAt(0)}, Mutates: true},
 			{Name: "join sign reaches membership", Ev: proto.Event{Kind: proto.EvRTRInd, MID: can.JoinSign(2), At: fpAt(1)}, Mutates: true},
@@ -99,21 +99,21 @@ func TestNodeRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: fpAt(0)})
-	src.Step(proto.Event{Kind: proto.EvRTRInd, MID: can.JoinSign(2), At: fpAt(1)})
-	src.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerMshCycle, At: fpAt(50), Node: 0})
+	fptest.Emit(src, proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: fpAt(0)})
+	fptest.Emit(src, proto.Event{Kind: proto.EvRTRInd, MID: can.JoinSign(2), At: fpAt(1)})
+	fptest.Emit(src, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerMshCycle, At: fpAt(50), Node: 0})
 
 	dst, err := core.New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.Step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 2), At: fpAt(0)})
+	fptest.Emit(dst, proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 2), At: fpAt(0)})
 	dst.Restore(src)
 	if sum(dst) != sum(src) {
 		t.Fatal("restored node does not hash like its source")
 	}
 	before := sum(src)
-	dst.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerRHATerm, At: fpAt(55), Node: 0})
+	fptest.Emit(dst, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerRHATerm, At: fpAt(55), Node: 0})
 	if sum(src) != before {
 		t.Fatal("stepping the restored node mutated the source: aliased state")
 	}

@@ -25,7 +25,7 @@ func cfg() membership.Config {
 // and crash machinery: every transition of the Figure 9 data sets perturbs
 // the hash, re-delivered signs do not.
 func TestProtocolFingerprint(t *testing.T) {
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		p, err := membership.New(0, cfg())
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestProtocolFingerprint(t *testing.T) {
 // TestProtocolClone checks the membership protocol's Clone contract over
 // the join and crash machinery.
 func TestProtocolClone(t *testing.T) {
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		p, err := membership.New(0, cfg())
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestProtocolClone(t *testing.T) {
 		return p
 	}
 	fptest.CheckClone(t, fresh,
-		func(c fptest.Core) fptest.Core { return c.(*membership.Protocol).Clone() },
+		func(c proto.Machine) proto.Machine { return c.(*membership.Protocol).Clone() },
 		[]fptest.Step{
 			{Name: "bootstrap", Ev: proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: at(0)}, Mutates: true},
 			{Name: "join sign", Ev: proto.Event{Kind: proto.EvRTRInd, MID: can.JoinSign(2), At: at(1)}, Mutates: true},
@@ -69,12 +69,12 @@ func TestProtocolClone(t *testing.T) {
 // live membership protocol as its shared-sets environment) through an
 // execution: proposal, duplicate counting, intersection shrink, expiry.
 func TestRHAFingerprint(t *testing.T) {
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		p, err := membership.New(0, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: at(0)})
+		fptest.Emit(p, proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: at(0)})
 		r, err := membership.NewRHA(0, cfg().RHA, p)
 		if err != nil {
 			t.Fatal(err)
@@ -100,12 +100,12 @@ func TestRHAFingerprint(t *testing.T) {
 // original and clone evolve independently over identical set views.
 func TestRHAClone(t *testing.T) {
 	var env *membership.Protocol
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		p, err := membership.New(0, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: at(0)})
+		fptest.Emit(p, proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1), At: at(0)})
 		env = p
 		r, err := membership.NewRHA(0, cfg().RHA, p)
 		if err != nil {
@@ -117,7 +117,7 @@ func TestRHAClone(t *testing.T) {
 		return proto.Event{Kind: proto.EvDataInd, MID: can.RHASign(s.Count(), src), At: at(1)}.WithPayload(s.Bytes())
 	}
 	fptest.CheckClone(t, fresh,
-		func(c fptest.Core) fptest.Core { return c.(*membership.RHA).Clone(env) },
+		func(c proto.Machine) proto.Machine { return c.(*membership.RHA).Clone(env) },
 		[]fptest.Step{
 			{Name: "request starts execution", Ev: proto.Event{Kind: proto.EvRHARequest, At: at(0)}, Mutates: true},
 			{Name: "first matching vector", Ev: rhv(can.MakeSet(0, 1), 1), Mutates: true},

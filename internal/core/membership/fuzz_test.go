@@ -23,6 +23,7 @@ import (
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 )
 
 func fuzzEvent(op, arg byte) proto.Event {
@@ -58,8 +59,8 @@ func fuzzEvent(op, arg byte) proto.Event {
 }
 
 func FuzzMembershipCore(f *testing.F) {
-	f.Add([]byte{0, 7, 8, 3})             // bootstrap, cycle, join sign
-	f.Add([]byte{1, 1, 8, 0, 9, 0, 9, 1}) // join, cold-start cycle, RHA round
+	f.Add([]byte{0, 7, 8, 3})                                 // bootstrap, cycle, join sign
+	f.Add([]byte{1, 1, 8, 0, 9, 0, 9, 1})                     // join, cold-start cycle, RHA round
 	f.Add([]byte{0, 255, 7, 1, 7, 2, 8, 0, 9, 1, 2, 0, 8, 0}) // failures + leave
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := New(0, Config{
@@ -75,7 +76,7 @@ func FuzzMembershipCore(f *testing.F) {
 			ev := fuzzEvent(data[i], data[i+1])
 			before := p.View()
 			wasMember := p.Member()
-			cmds := p.Step(ev)
+			cmds := fptest.Emit(p, ev)
 			after := p.View()
 
 			switch ev.Kind {

@@ -145,14 +145,6 @@ func (p *Protocol) Fingerprint(h *maphash.Hash) {
 	proto.HashBool(h, p.sawActivity)
 }
 
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (p *Protocol) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	p.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, appending the resulting commands to buf.
 func (p *Protocol) StepInto(ev proto.Event, buf *proto.CommandBuf) {
 	switch ev.Kind {

@@ -135,14 +135,6 @@ func (r *RHA) Fingerprint(h *maphash.Hash) {
 	proto.HashU64(h, uint64(r.Executions))
 }
 
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (r *RHA) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	r.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, appending the resulting commands to buf.
 func (r *RHA) StepInto(ev proto.Event, buf *proto.CommandBuf) {
 	switch ev.Kind {

@@ -1,8 +1,8 @@
 // Package core composes the four sans-I/O protocol cores of one CANELy
 // node — failure detection agreement (FDA), node failure detection, the
 // reception history agreement (RHA) and site membership — into a single
-// Node with one StepInto(Event, *CommandBuf) entry point (Step remains as
-// a slice-returning compatibility wrapper).
+// Node that is itself a proto.Machine: one StepInto(Event, *CommandBuf)
+// entry point, one Fingerprint.
 //
 // The sub-cores talk to each other through inter-core command kinds
 // (CmdFDARequest, CmdFDANty, CmdFDNty, CmdRHARequest, ...). Node routes
@@ -14,10 +14,10 @@
 // where inter-entity notifications were synchronous upcalls running before
 // the caller's next statement and before any boundary observer.
 //
-// Node is still pure: Step touches no scheduler, bus or trace machinery,
-// so the composite can be re-executed from a recorded event log
-// (internal/replay) or driven through permuted event orderings (the
-// interleaving explorer in this package) with bit-identical results.
+// Node is still pure: StepInto touches no scheduler, bus or trace
+// machinery, so the composite can be re-executed from a recorded event log
+// (internal/replay) or driven through permuted event orderings
+// (internal/explore) with bit-identical results.
 package core
 
 import (
@@ -50,11 +50,6 @@ type Node struct {
 	// single-node state), so one buffer per Node suffices; it grows to the
 	// deepest routing chain once and steady-state steps allocate nothing.
 	scratch proto.CommandBuf
-}
-
-// stepper is the emit-into-buffer entry point shared by all sub-cores.
-type stepper interface {
-	StepInto(proto.Event, *proto.CommandBuf)
 }
 
 // New builds the composite core. The RHA core reads the membership
@@ -113,14 +108,6 @@ func (n *Node) Fingerprint(h *maphash.Hash) {
 	n.RHA.Fingerprint(h)
 }
 
-// Step consumes one event and returns the fully-expanded command stream as
-// a fresh slice. Compatibility wrapper over StepInto.
-func (n *Node) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	n.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, dispatching it to the interested sub-cores
 // in the order the layered stack registered their indication handlers, and
 // routes inter-core commands. The fully-expanded command stream is appended
@@ -168,7 +155,7 @@ func (n *Node) StepInto(ev proto.Event, out *proto.CommandBuf) {
 // and the segment is truncated away when the walk completes — so the
 // scratch's high-water mark is the deepest routing chain ever taken, after
 // which no step allocates.
-func (n *Node) subStep(s stepper, ev proto.Event, out *proto.CommandBuf) {
+func (n *Node) subStep(s proto.Machine, ev proto.Event, out *proto.CommandBuf) {
 	mark := n.scratch.Len()
 	s.StepInto(ev, &n.scratch)
 	for i := mark; i < n.scratch.Len(); i++ {

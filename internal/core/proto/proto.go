@@ -1,18 +1,21 @@
-// Package proto defines the sans-I/O vocabulary of the CANELy protocol
-// cores: the Event a core consumes and the Command it emits. The paper's
+// Package proto defines the sans-I/O contract of the protocol cores: the
+// Event a core consumes, the Command it emits, and Machine, the two-method
+// surface every core offers the generic machinery around it. The paper's
 // protocols (Figures 6–9) are specified as reactive state machines — events
 // in (frame indications, timer expiry, can-data.nty), actions out (queue a
-// remote frame, set or cancel a timer, deliver a notification). A core is a
-// pure struct with a single
+// remote frame, set or cancel a timer, deliver a notification) — and a core
+// is exactly that: a pure struct holding no scheduler, layer or trace
+// handles, whose whole behaviour is a function of its configuration and the
+// event sequence it consumed.
 //
-//	Step(Event) []Command
-//
-// entry point; it holds no scheduler, layer or trace handles. The runtime
-// binding (internal/stack) pumps events in and executes the returned
-// commands against the simulated media; internal/replay re-executes cores
-// from a recorded event log and asserts command-for-command equality; the
-// interleaving explorer (internal/core) drives cores through permuted event
-// orderings with no bus simulation at all.
+// Everything that drives a core does so through Machine alone. The runtime
+// bindings (internal/stack, internal/gateway, internal/gossip) pump events
+// in and execute the emitted commands against the simulated or live media;
+// internal/replay re-executes cores from a recorded event log and asserts
+// command-for-command equality; the exploration engine (internal/explore)
+// drives cores through permuted event orderings with no bus simulation at
+// all and prunes on their fingerprints. A new protocol core that satisfies
+// Machine inherits all of it.
 //
 // Both Event and Command are comparable value types (payloads are inlined
 // into a fixed array — a CAN payload is at most 8 bytes), so replay
@@ -20,30 +23,40 @@
 //
 // # Allocation discipline
 //
-// Step allocates a fresh command slice per call, which is fine for tests
-// and replay but puts the allocator on the simulation hot path: a steady
-// 1 Mbit/s bus delivers hundreds of frames per virtual second, and every
-// delivery steps several cores at every node. The hot entry point is
-// therefore
-//
-//	StepInto(Event, *CommandBuf)
-//
-// which appends into a caller-owned, reusable CommandBuf; Step is a thin
-// compatibility wrapper over it. Trace output follows the same discipline:
-// cores emit *lazy* trace commands (a TraceMsgID template plus operands
-// already inlined in the Command) instead of pre-formatted strings, and the
-// text is rendered by TraceText only when a trace sink is actually
-// attached — a run on the fast substrate formats nothing at all.
+// A steady 1 Mbit/s bus delivers hundreds of frames per virtual second, and
+// every delivery steps several cores at every node, so StepInto appends
+// into a caller-owned, reusable CommandBuf instead of returning a fresh
+// slice: once the buffer has grown to its high-water mark the loop
+// allocates nothing. Trace output follows the same discipline: cores emit
+// *lazy* trace commands (a TraceMsgID template plus operands already
+// inlined in the Command) instead of pre-formatted strings, and the text is
+// rendered by TraceText only when a trace sink is actually attached — a run
+// on the fast substrate formats nothing at all.
 package proto
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"canely/internal/can"
 	"canely/internal/sim"
 	"canely/internal/trace"
 )
+
+// Machine is the protocol contract: the surface core.Node, fd.FDA,
+// fd.Detector, membership.RHA, membership.Protocol, federation.Core and
+// gossip.Core share, and the only one the replay verifier, the exploration
+// engine and the fingerprint property tests depend on.
+type Machine interface {
+	// StepInto consumes one event and appends the commands it produces to
+	// buf, in execution order. It touches nothing but the core's own state.
+	StepInto(ev Event, buf *CommandBuf)
+	// Fingerprint writes the core's complete observable state into h: equal
+	// states hash equal, and every state-mutating step perturbs the hash
+	// (internal/fptest checks both).
+	Fingerprint(h *maphash.Hash)
+}
 
 // TimerID names one of a core's logical timers. The binding owns the
 // concrete alarm machinery; cores refer to timers only by these ids.
@@ -452,18 +465,6 @@ func SetTimer(id TimerID, d sim.Duration) Command {
 
 // CancelTimer disarms a logical timer.
 func CancelTimer(id TimerID) Command { return Command{Kind: CmdCancelTimer, Timer: id} }
-
-// Trace emits a pre-formatted diagnostic event. The protocol cores use the
-// lazy Trace* template constructors instead — this eager form exists for
-// tests and ad-hoc diagnostics.
-func Trace(kind trace.Kind, msg string) Command {
-	return Command{Kind: CmdTrace, TraceKind: kind, Msg: msg}
-}
-
-// Tracef emits a formatted diagnostic event (eager; see Trace).
-func Tracef(kind trace.Kind, format string, args ...any) Command {
-	return Command{Kind: CmdTrace, TraceKind: kind, Msg: fmt.Sprintf(format, args...)}
-}
 
 // TraceMsgID selects a lazy trace message template. A lazy trace command
 // carries the template id and its operands (Node, Active, View) instead of

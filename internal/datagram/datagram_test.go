@@ -1,11 +1,13 @@
 package datagram
 
 // The tests audit the substrate against the stack.Medium / stack.Port
-// contract the two bus substrates established: Elapsed monotonicity,
-// Attach-after-start, double-attach panics, crash (port close)
-// idempotence, mailbox replacement, abort semantics — plus the properties
-// this substrate adds: per-seed determinism, independent per-link
-// sampling, unicast gossip routing over lossy broadcast fan-out.
+// contract the two bus substrates established — Elapsed monotonicity
+// including the propagation floor, crash (port close) idempotence, mailbox
+// replacement, abort semantics; the attach discipline and the
+// substrate-independent form of the rest are in internal/stack's
+// TestMediumConformance — plus the properties this substrate adds:
+// per-seed determinism, independent per-link sampling, unicast gossip
+// routing over lossy broadcast fan-out.
 
 import (
 	"testing"
@@ -49,23 +51,6 @@ func newNet(t *testing.T, cfg Config) (*sim.Scheduler, *Net) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	return sched, New(sched, cfg)
-}
-
-func TestAttachContract(t *testing.T) {
-	_, n := newNet(t, Config{})
-	n.Attach(0)
-	mustPanic(t, "double attach", func() { n.Attach(0) })
-	mustPanic(t, "invalid id", func() { n.Attach(can.NodeID(can.MaxNodes)) })
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", what)
-		}
-	}()
-	fn()
 }
 
 // TestBroadcastFanOut: a non-gossip frame reaches every other attached

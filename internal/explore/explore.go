@@ -509,7 +509,7 @@ func (e *Engine) run(it item, rec *replay.Log, prune bool) runResult {
 	capture := rec == nil && !e.cfg.NoSnapshot
 	var curSnap *snapshot
 	newBranches := 0
-	var h maphash.Hash
+	h := &s.hash
 	h.SetSeed(e.seed)
 	defer func() { e.steps.Add(uint64(steps - base)) }()
 
@@ -564,7 +564,7 @@ func (e *Engine) run(it item, rec *replay.Log, prune bool) runResult {
 			if decision >= len(it.vec) {
 				if prune {
 					h.Reset()
-					s.Fingerprint(&h)
+					s.Fingerprint(h)
 					// The key is (state, sleep set, decision index). The
 					// sleep set masks part of the subtree, so states
 					// reached with different sleep sets must not merge;

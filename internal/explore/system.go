@@ -1,17 +1,12 @@
 package explore
 
 import (
-	"fmt"
 	"hash/maphash"
 	"time"
 	"unsafe"
 
 	"canely/internal/can"
-	"canely/internal/core"
-	"canely/internal/core/fd"
-	"canely/internal/core/membership"
 	"canely/internal/core/proto"
-	"canely/internal/gossip"
 	"canely/internal/replay"
 	"canely/internal/sim"
 )
@@ -20,152 +15,29 @@ import (
 // enough from overflow that adding a skew to it stays ordered.
 const never = sim.Time(1 << 62)
 
-// Scenario parameterizes the system under exploration: the join+crash
-// workload of the paper's Figures 8/9 generalized over population size,
-// horizon and fault injection.
-type Scenario struct {
-	// Nodes is the population size; node ids run 0..Nodes-1.
-	Nodes int
-	// Config parameterizes every node's protocol cores.
-	Config core.Config
-	// Gossip switches the system to the SWIM baseline: every node runs a
-	// gossip core instead of the CANELy composite, frames of
-	// can.TypeGossip are delivered unicast to their destination (the
-	// datagram substrate's routing), and the safety/terminal checks
-	// assert the gossip lattice invariants. nil selects CANELy mode.
-	Gossip *gossip.Config
-	// Bootstrap is the pre-agreed initial view; its members come up
-	// integrated. Joiners request integration at t=0.
-	Bootstrap can.NodeSet
-	Joiners   can.NodeSet
-	// Crash selects the crash-fault branch: when HasCrash is set, the
-	// explorer may crash node Crash at any decision point up to CrashBy.
-	Crash    can.NodeID
-	HasCrash bool
-	CrashBy  sim.Time
-	// End bounds the nondeterministic schedule horizon; MaxSteps bounds
-	// the whole run's length in steps.
-	End sim.Time
-	// Settle extends the run past End deterministically (pending frames
-	// first, then earliest timers; no branching, no crash) before the
-	// terminal liveness check. A bounded horizon can cut a legal recovery
-	// mid-flight — a falsely-suspected node rejoins within TjoinWait, but
-	// not within an arbitrary cutoff — and flagging that as a violation
-	// would be a horizon artifact, not a protocol defect. Genuinely stuck
-	// states (divergent views with no agreement pending) survive any
-	// settle window and are still caught. Cover at least two full rejoin
-	// rounds: 2*(TjoinWait + Tm + Trha + detection latency).
-	Settle   time.Duration
-	MaxSteps int
-	// MaxDepth caps the number of decision points the search branches on.
-	MaxDepth int
-	// Ttd is the bounded frame-delivery delay: every pending frame must be
-	// delivered within Ttd of its transmit request, which bounds how far a
-	// timer may fire ahead of the pending queue.
-	Ttd time.Duration
-	// Skew is the clock-jitter window for timer races: a due timer is
-	// schedulable only within Skew of the earliest armed deadline.
-	Skew time.Duration
-	// Drop, when set, injects a reception fault outside the model's fault
-	// assumptions: DropNode silently misses every frame of type DropType.
-	// This deliberately breaks the MAC broadcast property the protocols
-	// rely on, so the engine can demonstrate counterexample capture.
-	Drop     bool
-	DropNode can.NodeID
-	DropType can.MsgType
-}
-
-// DefaultScenario returns the 3-node join+crash scenario the original
-// in-test explorer searched: nodes 0,1 bootstrap a pre-agreed view, node 2
-// requests to join, node 1 may crash up to 150ms in.
-func DefaultScenario() Scenario {
-	return Scenario{
-		Nodes: 3,
-		Config: core.Config{
-			FD: fd.Config{Tb: 10 * time.Millisecond, Ttd: 2 * time.Millisecond},
-			Membership: membership.Config{
-				Tm:        50 * time.Millisecond,
-				TjoinWait: 120 * time.Millisecond,
-				RHA:       membership.RHAConfig{Trha: 5 * time.Millisecond, J: 2},
-			},
-		},
-		Bootstrap: can.MakeSet(0, 1),
-		Joiners:   can.MakeSet(2),
-		Crash:     1,
-		HasCrash:  true,
-		CrashBy:   sim.Time(150 * time.Millisecond),
-		End:       sim.Time(500 * time.Millisecond),
-		Settle:    400 * time.Millisecond,
-		MaxSteps:  6000,
-		MaxDepth:  25,
-		Ttd:       2 * time.Millisecond,
-		Skew:      time.Millisecond,
-	}
-}
-
-// DefaultGossipScenario returns the SWIM analogue of the default
-// join+crash scenario: nodes 0,1 bootstrap, node 2 joins through them,
-// node 1 may crash up to 80ms in. The timing respects the soundness
-// argument of the bounded-delay model: Ttd < AckTimeout, so an in-flight
-// ack always lands before the probe timer that would falsely expire on it,
-// and the only suspicion the search can produce is the real crash.
-func DefaultGossipScenario() Scenario {
-	return Scenario{
-		Nodes: 3,
-		Gossip: &gossip.Config{
-			Period:         20 * time.Millisecond,
-			AckTimeout:     5 * time.Millisecond,
-			SuspectTimeout: 60 * time.Millisecond,
-			Fanout:         1,
-			Retransmit:     3,
-		},
-		Bootstrap: can.MakeSet(0, 1),
-		Joiners:   can.MakeSet(2),
-		Crash:     1,
-		HasCrash:  true,
-		CrashBy:   sim.Time(80 * time.Millisecond),
-		End:       sim.Time(200 * time.Millisecond),
-		Settle:    300 * time.Millisecond,
-		MaxSteps:  6000,
-		MaxDepth:  25,
-		Ttd:       2 * time.Millisecond,
-		Skew:      time.Millisecond,
-	}
-}
-
-// Validate rejects malformed scenarios.
-func (sc *Scenario) Validate() error {
-	if sc.Nodes < 2 || sc.Nodes > can.MaxNodes {
-		return fmt.Errorf("explore: scenario wants %d nodes, supported range is [2,%d]", sc.Nodes, can.MaxNodes)
-	}
-	if sc.MaxSteps <= 0 || sc.MaxDepth <= 0 {
-		return fmt.Errorf("explore: MaxSteps and MaxDepth must be positive")
-	}
-	if sc.Settle < 0 {
-		return fmt.Errorf("explore: negative settle window")
-	}
-	if sc.Bootstrap.Empty() {
-		return fmt.Errorf("explore: empty bootstrap view")
-	}
-	if !sc.Bootstrap.Intersect(sc.Joiners).Empty() {
-		return fmt.Errorf("explore: bootstrap view %v overlaps joiners %v", sc.Bootstrap, sc.Joiners)
-	}
-	if sc.HasCrash && !sc.Bootstrap.Union(sc.Joiners).Contains(sc.Crash) {
-		return fmt.Errorf("explore: crash node %v is not part of the population", sc.Crash)
-	}
-	if sc.Gossip != nil {
-		return sc.Gossip.Validate()
-	}
-	return sc.Config.FD.Validate()
-}
-
-// want is the membership view every surviving full member must converge on.
-func (sc *Scenario) want(crashed bool) can.NodeSet {
-	w := sc.Bootstrap.Union(sc.Joiners)
-	if crashed {
-		w = w.Remove(sc.Crash)
-	}
-	return w
+// protocol is what the explorer must be told about the protocol under
+// exploration beyond proto.Machine. System and Engine know nothing else
+// about the cores they drive: canely.go and swim.go hold the two
+// descriptions, Scenario.protocol picks one.
+type protocol interface {
+	// nodeConfig is node id's configuration as a replay log records it;
+	// the node itself is built from it.
+	nodeConfig(id can.NodeID) replay.NodeConfig
+	// joinEvent is the integration request a joiner is stepped on at t=0.
+	joinEvent(bootstrap can.NodeSet) proto.Event
+	// clone deep-copies a node, restore overwrites dst with src's state in
+	// dst's storage, nodeBytes sizes one node for the snapshot budget.
+	clone(m proto.Machine) proto.Machine
+	restore(dst, src proto.Machine)
+	nodeBytes() int
+	// checkSafety is the per-step invariant of one live node; checkTerminal
+	// its end-of-schedule liveness and agreement check against the view the
+	// survivors must share.
+	checkSafety(id can.NodeID, m proto.Machine) error
+	checkTerminal(id can.NodeID, m proto.Machine, want can.NodeSet) error
+	// quiescent reports a live node in a steady state, holding view want,
+	// that no remaining step can lead out of (see System.quiescent).
+	quiescent(m proto.Machine, want can.NodeSet) bool
 }
 
 // frame is one pending transmission on the modelled bus.
@@ -231,12 +103,13 @@ type actionID struct {
 // one decision vector.
 type System struct {
 	scen *Scenario
+	desc protocol
 
 	now sim.Time
-	// Exactly one of nodes (CANELy composite cores) and gnodes (SWIM
-	// gossip cores) is populated, per Scenario.Gossip.
-	nodes   []*core.Node
-	gnodes  []*gossip.Core
+	// nodes holds one core per node id, all of the concrete type the
+	// protocol description builds (a pointer, so the slot allocates
+	// nothing).
+	nodes   []proto.Machine
 	alive   []bool
 	crashed bool
 
@@ -258,8 +131,11 @@ type System struct {
 	// replay.
 	rec *replay.Log
 
-	// Reused scratch.
+	// Reused scratch. The engine's state hash lives here, not on its stack:
+	// cores fingerprint through proto.Machine, so the hash they write into
+	// escapes — one per pooled System instead of one per run.
 	buf     proto.CommandBuf
+	hash    maphash.Hash
 	actions []action
 	due     []action
 }
@@ -268,29 +144,19 @@ type System struct {
 // installed, joiners requesting integration. The scenario must outlive the
 // system. rec, when non-nil, records every core step (replay capture).
 func NewSystem(scen *Scenario, rec *replay.Log) (*System, error) {
-	s := &System{scen: scen, rec: rec, head: -1, tail: -1, free: -1}
+	s := &System{scen: scen, desc: scen.protocol(), rec: rec, head: -1, tail: -1, free: -1}
 	s.timers = make([][proto.NumTimers]sim.Time, scen.Nodes)
 	s.armedTimers = make([]uint8, scen.Nodes)
 	for i := 0; i < scen.Nodes; i++ {
-		if scen.Gossip != nil {
-			g, err := gossip.New(can.NodeID(i), *scen.Gossip)
-			if err != nil {
-				return nil, err
-			}
-			s.gnodes = append(s.gnodes, g)
-			if rec != nil {
-				rec.RegisterGossip(can.NodeID(i), *scen.Gossip)
-			}
-		} else {
-			n, err := core.New(can.NodeID(i), scen.Config)
-			if err != nil {
-				return nil, err
-			}
-			s.nodes = append(s.nodes, n)
-			if rec != nil {
-				rec.Register(can.NodeID(i), scen.Config)
-			}
+		nc := s.desc.nodeConfig(can.NodeID(i))
+		m, err := nc.New()
+		if err != nil {
+			return nil, err
 		}
+		if rec != nil {
+			rec.Register(nc)
+		}
+		s.nodes = append(s.nodes, m)
 		s.alive = append(s.alive, true)
 	}
 	for v := scen.Bootstrap; !v.Empty(); {
@@ -301,29 +167,17 @@ func NewSystem(scen *Scenario, rec *replay.Log) (*System, error) {
 	for v := scen.Joiners; !v.Empty(); {
 		r := v.Lowest()
 		v = v.Remove(r)
-		// A gossip joiner is seeded with the bootstrap members as its
-		// introduction contacts; the CANELy joiner broadcasts a join sign
-		// and carries no view (keeping its recorded event unchanged).
-		ev := proto.Event{Kind: proto.EvJoin}
-		if scen.Gossip != nil {
-			ev.View = scen.Bootstrap
-		}
-		s.step(r, ev)
+		s.step(r, s.desc.joinEvent(scen.Bootstrap))
 	}
 	return s, nil
 }
 
-// step pumps one event into a node's composite core and applies the
-// resulting command stream to the modelled bus and alarms. Inter-core
-// commands were already routed by the composite; marker/trace kinds are
-// no-ops here.
+// step pumps one event into a node's core and applies the resulting
+// command stream to the modelled bus and alarms. Inter-core commands were
+// already routed inside the core; marker/trace kinds are no-ops here.
 func (s *System) step(n can.NodeID, ev proto.Event) {
 	s.buf.Reset()
-	if s.scen.Gossip != nil {
-		s.gnodes[n].StepInto(ev, &s.buf)
-	} else {
-		s.nodes[n].StepInto(ev, &s.buf)
-	}
+	s.nodes[n].StepInto(ev, &s.buf)
 	if s.rec != nil {
 		s.rec.Append(n, ev, s.buf.Commands())
 	}
@@ -529,60 +383,47 @@ func (s *System) apply(a action) {
 		// Identical remote frames merge into the one transmission the
 		// receivers observe (the clustering property the FDA relies on);
 		// identical data frames from one sender collapse the same way.
-		if f.rtr {
-			for i := s.head; i >= 0; {
-				next := s.entries[i].next
-				if s.entries[i].f.rtr && s.entries[i].f.mid == f.mid {
-					s.kill(i)
-				}
-				i = next
+		for i := s.head; i >= 0; {
+			next := s.entries[i].next
+			if e := &s.entries[i].f; e.mid == f.mid && (f.rtr && e.rtr || !f.rtr && e.sender == f.sender) {
+				s.kill(i)
 			}
-		} else {
-			for i := s.head; i >= 0; {
-				next := s.entries[i].next
-				if e := &s.entries[i].f; e.sender == f.sender && e.mid == f.mid {
-					s.kill(i)
-				}
-				i = next
-			}
+			i = next
 		}
 		// Gossip traffic is point-to-point: only the addressed node hears
 		// the frame (the datagram substrate's routing), and there is no
 		// observation notification — a datagram network has no shared wire
-		// to observe.
-		if f.mid.Type == can.TypeGossip {
-			dst := can.GossipDest(f.mid)
-			if int(dst) < s.scen.Nodes && s.alive[dst] &&
-				!(s.scen.Drop && dst == s.scen.DropNode && f.mid.Type == s.scen.DropType) {
-				ev := proto.Event{Kind: proto.EvDataInd, MID: f.mid, At: s.now}
-				ev.Data = f.data
-				ev.DataLen = f.dataLen
-				s.step(dst, ev)
-			}
-			return
+		// to observe. Everything else is broadcast.
+		first, end := 0, s.scen.Nodes
+		unicast := f.mid.Type == can.TypeGossip
+		if unicast {
+			first = int(can.GossipDest(f.mid))
+			end = min(first+1, end)
 		}
-		for n := 0; n < s.scen.Nodes; n++ {
+		for n := first; n < end; n++ {
 			if !s.alive[n] {
 				continue
 			}
 			if s.scen.Drop && can.NodeID(n) == s.scen.DropNode && f.mid.Type == s.scen.DropType {
 				continue
 			}
-			if f.rtr {
+			if f.rtr && !unicast {
 				s.step(can.NodeID(n), proto.Event{Kind: proto.EvRTRInd, MID: f.mid, At: s.now})
-			} else {
-				s.step(can.NodeID(n), proto.Event{Kind: proto.EvDataNty, MID: f.mid, At: s.now})
-				ev := proto.Event{Kind: proto.EvDataInd, MID: f.mid, At: s.now}
-				ev.Data = f.data
-				ev.DataLen = f.dataLen
-				s.step(can.NodeID(n), ev)
+				continue
 			}
+			if !unicast {
+				s.step(can.NodeID(n), proto.Event{Kind: proto.EvDataNty, MID: f.mid, At: s.now})
+			}
+			ev := proto.Event{Kind: proto.EvDataInd, MID: f.mid, At: s.now}
+			ev.Data = f.data
+			ev.DataLen = f.dataLen
+			s.step(can.NodeID(n), ev)
 		}
 	}
 }
 
 // Fingerprint writes the complete system state into h: virtual time, the
-// crash flag, liveness bits, every node's composite-core fingerprint, the
+// crash flag, liveness bits, every node's core fingerprint, the
 // pending-frame queue and the armed timers. Pending frames are written in
 // queue order with a count prefix (queue order is itself part of the state:
 // it fixes the decision indexing of every future schedule); timer slots are
@@ -600,9 +441,6 @@ func (s *System) Fingerprint(h *maphash.Hash) {
 	proto.HashU64(h, aliveBits)
 	for _, nd := range s.nodes {
 		nd.Fingerprint(h)
-	}
-	for _, g := range s.gnodes {
-		g.Fingerprint(h)
 	}
 	proto.HashU64(h, uint64(s.liveFrames))
 	for i := s.head; i >= 0; i = s.entries[i].next {
@@ -667,42 +505,30 @@ func (s *System) stepFirst() bool {
 	return false
 }
 
-// quiescent reports whether the run has converged into the protocol's
-// steady state, from which the settle phase provably cannot change the
-// terminal verdict: every surviving node is an integrated member of exactly
-// the expected view, no membership cycle carries pending work (Rj, Rl and
-// the failed set all empty), no RHA execution is running, no FDA agreement
-// is in flight, every pending frame is an explicit life-sign, and the crash
-// branch is no longer schedulable.
+// quiescent reports whether the run has converged into a steady state from
+// which the settle phase provably cannot change the terminal verdict: the
+// crash branch is no longer schedulable, the protocol description calls
+// every surviving node quiescent in exactly the expected view, and every
+// pending frame is an explicit life-sign.
 //
-// In that state the only future actions are ELS deliveries, FD scan firings
-// that re-arm themselves, and membership cycles over empty sets — none of
-// which touches a view. A node's life-sign is always delivered before the
-// remote surveillance timer that would expire on it fires (frames precede
-// timers in deterministic order, and the Ttd horizon holds every timer back
-// until the queue drains), so no false suspicion can arise either. The
-// terminal liveness check is therefore already decided, and the engine may
-// skip the settle phase entirely. TestSettleShortcutSound pins this
-// argument against the full settle run.
+// For the CANELy cores (the only description that ever says yes — see
+// canely.quiescent for the per-node half) the only future actions in that
+// state are ELS deliveries, FD scan firings that re-arm themselves, and
+// membership cycles over empty sets — none of which touches a view. A
+// node's life-sign is always delivered before the remote surveillance timer
+// that would expire on it fires (frames precede timers in deterministic
+// order, and the Ttd horizon holds every timer back until the queue
+// drains), so no false suspicion can arise either. The terminal liveness
+// check is therefore already decided, and the engine may skip the settle
+// phase entirely. TestSettleShortcutSound pins this argument against the
+// full settle run.
 func (s *System) quiescent() bool {
 	if s.scen.HasCrash && !s.crashed && s.now <= s.scen.CrashBy {
 		return false
 	}
-	// SWIM has no frame-free steady state — probe traffic never ceases,
-	// and any in-flight piggyback could still start a (refutable)
-	// suspicion. The settle phase therefore always runs to its horizon in
-	// gossip mode; the shortcut applies only to the CANELy cores.
-	if s.scen.Gossip != nil {
-		return false
-	}
 	want := s.scen.want(s.crashed)
-	for n := 0; n < s.scen.Nodes; n++ {
-		if !s.alive[n] {
-			continue
-		}
-		nd := s.nodes[n]
-		if !nd.Msh.Member() || nd.Msh.View() != want || !nd.Msh.Quiescent() ||
-			nd.RHA.Running() || !nd.Det.Quiet() {
+	for n, m := range s.nodes {
+		if s.alive[n] && !s.desc.quiescent(m, want) {
 			return false
 		}
 	}
@@ -722,24 +548,21 @@ func (s *System) quiescent() bool {
 func (s *System) Snapshot() *System {
 	c := &System{
 		scen:        s.scen,
+		desc:        s.desc,
 		now:         s.now,
 		crashed:     s.crashed,
 		head:        s.head,
 		tail:        s.tail,
 		free:        s.free,
 		liveFrames:  s.liveFrames,
-		nodes:       make([]*core.Node, len(s.nodes)),
-		gnodes:      make([]*gossip.Core, len(s.gnodes)),
+		nodes:       make([]proto.Machine, len(s.nodes)),
 		alive:       append([]bool(nil), s.alive...),
 		entries:     append([]entry(nil), s.entries...),
 		timers:      append([][proto.NumTimers]sim.Time(nil), s.timers...),
 		armedTimers: append([]uint8(nil), s.armedTimers...),
 	}
 	for i, n := range s.nodes {
-		c.nodes[i] = n.Clone()
-	}
-	for i, g := range s.gnodes {
-		c.gnodes[i] = g.Clone()
+		c.nodes[i] = s.desc.clone(n)
 	}
 	return c
 }
@@ -754,10 +577,7 @@ func (s *System) Restore(src *System) {
 	s.head, s.tail, s.free = src.head, src.tail, src.free
 	s.liveFrames = src.liveFrames
 	for i := range src.nodes {
-		s.nodes[i].Restore(src.nodes[i])
-	}
-	for i := range src.gnodes {
-		s.gnodes[i].Restore(src.gnodes[i])
+		s.desc.restore(s.nodes[i], src.nodes[i])
 	}
 	copy(s.alive, src.alive)
 	s.entries = append(s.entries[:0], src.entries...)
@@ -765,50 +585,25 @@ func (s *System) Restore(src *System) {
 	copy(s.armedTimers, src.armedTimers)
 }
 
-// coreBytes is the flat footprint of one node's protocol cores, used by
-// sizeBytes to estimate checkpoint memory against the snapshot budget.
-const coreBytes = int(unsafe.Sizeof(core.Node{}) + unsafe.Sizeof(fd.FDA{}) +
-	unsafe.Sizeof(fd.Detector{}) + unsafe.Sizeof(membership.Protocol{}) +
-	unsafe.Sizeof(membership.RHA{}))
-
-// sizeBytes estimates the heap footprint of one Snapshot of this system.
-// Flat struct sizes plus the backing arrays; the RHA duplicate-counter maps
-// are typically empty at checkpoint time and are ignored.
+// sizeBytes estimates the heap footprint of one Snapshot of this system:
+// flat struct sizes plus the backing arrays.
 func (s *System) sizeBytes() int {
 	return int(unsafe.Sizeof(*s)) +
-		len(s.nodes)*coreBytes +
-		len(s.gnodes)*int(unsafe.Sizeof(gossip.Core{})) +
+		len(s.nodes)*s.desc.nodeBytes() +
 		len(s.alive) +
 		len(s.entries)*int(unsafe.Sizeof(entry{})) +
 		len(s.timers)*int(unsafe.Sizeof([proto.NumTimers]sim.Time{})) +
 		len(s.armedTimers)
 }
 
-// checkSafety asserts the per-step invariant: a full member's view contains
-// itself.
+// checkSafety asserts the protocol's per-step invariant at every live node.
 func (s *System) checkSafety() error {
-	if s.scen.Gossip != nil {
-		for n := 0; n < s.scen.Nodes; n++ {
-			if !s.alive[n] {
-				continue
-			}
-			g := s.gnodes[n]
-			if !g.View().Contains(can.NodeID(n)) {
-				return fmt.Errorf("gossip node %v evicted itself from its view %v", can.NodeID(n), g.View())
-			}
-			if bad := g.Suspects() &^ g.View(); bad != 0 {
-				return fmt.Errorf("gossip node %v suspects non-members %v", can.NodeID(n), bad)
-			}
-			if bad := g.Dead() & g.View(); bad != 0 {
-				return fmt.Errorf("gossip node %v holds %v both dead and member", can.NodeID(n), bad)
-			}
+	for n, m := range s.nodes {
+		if !s.alive[n] {
+			continue
 		}
-		return nil
-	}
-	for n := 0; n < s.scen.Nodes; n++ {
-		nd := s.nodes[n]
-		if s.alive[n] && nd.Msh.Member() && !nd.Msh.View().Contains(can.NodeID(n)) {
-			return fmt.Errorf("node %v is a member of a view %v omitting itself", can.NodeID(n), nd.Msh.View())
+		if err := s.desc.checkSafety(can.NodeID(n), m); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -818,31 +613,12 @@ func (s *System) checkSafety() error {
 // every surviving node integrated and converged on exactly the alive set.
 func (s *System) checkTerminal() error {
 	want := s.scen.want(s.crashed)
-	if s.scen.Gossip != nil {
-		for n := 0; n < s.scen.Nodes; n++ {
-			if !s.alive[n] {
-				continue
-			}
-			g := s.gnodes[n]
-			if got := g.View(); got != want {
-				return fmt.Errorf("gossip node %v converged on %v, want %v", can.NodeID(n), got, want)
-			}
-			if !g.Suspects().Empty() {
-				return fmt.Errorf("gossip node %v still suspects %v at the horizon", can.NodeID(n), g.Suspects())
-			}
-		}
-		return nil
-	}
-	for n := 0; n < s.scen.Nodes; n++ {
+	for n, m := range s.nodes {
 		if !s.alive[n] {
 			continue
 		}
-		nd := s.nodes[n]
-		if !nd.Msh.Member() {
-			return fmt.Errorf("node %v never (re)integrated; view=%v", can.NodeID(n), nd.Msh.View())
-		}
-		if got := nd.Msh.View(); got != want {
-			return fmt.Errorf("node %v converged on %v, want %v", can.NodeID(n), got, want)
+		if err := s.desc.checkTerminal(can.NodeID(n), m, want); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -122,14 +122,6 @@ func (c *Core) Clone() *Core {
 	return &d
 }
 
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (c *Core) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	c.StepInto(ev, &buf)
-	return buf.Commands()
-}
-
 // StepInto consumes one event, appending the resulting commands to buf.
 func (c *Core) StepInto(ev proto.Event, buf *proto.CommandBuf) {
 	switch ev.Kind {
@@ -197,9 +189,6 @@ func (c *Core) Members(seg can.NodeID) can.NodeSet {
 	}
 	return c.members[seg]
 }
-
-// Booted reports whether the core has been bootstrapped.
-func (c *Core) Booted() bool { return c.booted }
 
 // Announced returns the number of digest transmissions requested.
 func (c *Core) Announced() int { return c.announced }

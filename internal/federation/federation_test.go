@@ -7,6 +7,7 @@ import (
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 	"canely/internal/sim"
 )
 
@@ -67,10 +68,10 @@ func TestConfigValidate(t *testing.T) {
 func TestBootstrapAnnouncesAndArms(t *testing.T) {
 	c := mustCore(t, testConfig(0, 0))
 	// Local view arrives before bootstrap (the documented driver order).
-	if cmds := c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1, 2)}); cmds != nil {
+	if cmds := fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1, 2)}); cmds != nil {
 		t.Fatalf("pre-boot local view emitted commands: %v", cmds)
 	}
-	cmds := c.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0, 1)})
+	cmds := fptest.Emit(c, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0, 1)})
 	want := []proto.CommandKind{
 		proto.CmdSetTimer,                 // staleness scan for remote segment 1
 		proto.CmdTrace, proto.CmdSendData, // digest for local segment 0
@@ -102,9 +103,9 @@ func TestBootstrapAnnouncesAndArms(t *testing.T) {
 // timer at every expiry, and nothing for a local segment with an empty view.
 func TestPeriodicAnnounceRearms(t *testing.T) {
 	c := mustCore(t, testConfig(0, 0))
-	c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1)})
-	c.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
-	cmds := c.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(10)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	cmds := fptest.Emit(c, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(10)})
 	got := kinds(cmds)
 	want := []proto.CommandKind{proto.CmdTrace, proto.CmdSendData, proto.CmdSetTimer}
 	if len(got) != len(want) || got[1] != proto.CmdSendData || got[2] != proto.CmdSetTimer {
@@ -115,7 +116,7 @@ func TestPeriodicAnnounceRearms(t *testing.T) {
 	}
 	// An empty local view (every member crashed) stops the digests and
 	// removes the segment from the local site view at once.
-	cmds = c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.EmptySet, At: at(15)})
+	cmds = fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.EmptySet, At: at(15)})
 	var sawNotify bool
 	for _, cmd := range cmds {
 		if cmd.Kind == proto.CmdNotifySite {
@@ -128,7 +129,7 @@ func TestPeriodicAnnounceRearms(t *testing.T) {
 	if !sawNotify {
 		t.Fatalf("empty local view did not notify: %v", cmds)
 	}
-	cmds = c.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(20)})
+	cmds = fptest.Emit(c, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(20)})
 	for _, cmd := range cmds {
 		if cmd.Kind == proto.CmdSendData {
 			t.Fatalf("digest announced for an empty segment view: %v", cmds)
@@ -141,12 +142,12 @@ func TestPeriodicAnnounceRearms(t *testing.T) {
 // Tstale removes it, and a later digest re-admits it.
 func TestDigestAdmitsAndStalenessRemoves(t *testing.T) {
 	c := mustCore(t, testConfig(0, 0))
-	c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0)})
-	c.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
 
 	dig := proto.Event{Kind: proto.EvDataInd, At: at(5), MID: can.FedDigestSign(3, 6)}.
 		WithPayload(can.MakeSet(10, 11).Bytes())
-	cmds := c.Step(dig)
+	cmds := fptest.Emit(c, dig)
 	if c.SiteView() != can.MakeSet(0, 3) {
 		t.Fatalf("site after digest = %v (cmds %v)", c.SiteView(), cmds)
 	}
@@ -164,7 +165,7 @@ func TestDigestAdmitsAndStalenessRemoves(t *testing.T) {
 	}
 
 	// Silence: the scan fires at the deadline and removes the segment.
-	cmds = c.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedScan, At: at(45)})
+	cmds = fptest.Emit(c, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedScan, At: at(45)})
 	if c.SiteView() != can.MakeSet(0) {
 		t.Fatalf("site after staleness = %v (cmds %v)", c.SiteView(), cmds)
 	}
@@ -182,7 +183,7 @@ func TestDigestAdmitsAndStalenessRemoves(t *testing.T) {
 	}
 
 	// The segment heals: a new digest re-admits it.
-	c.Step(proto.Event{Kind: proto.EvDataInd, At: at(50), MID: can.FedDigestSign(3, 6)}.
+	fptest.Emit(c, proto.Event{Kind: proto.EvDataInd, At: at(50), MID: can.FedDigestSign(3, 6)}.
 		WithPayload(can.MakeSet(10).Bytes()))
 	if c.SiteView() != can.MakeSet(0, 3) {
 		t.Fatalf("site after re-admission = %v", c.SiteView())
@@ -193,13 +194,13 @@ func TestDigestAdmitsAndStalenessRemoves(t *testing.T) {
 // so empty or short payloads must not perturb the site view.
 func TestEmptyAndMalformedDigestsIgnored(t *testing.T) {
 	c := mustCore(t, testConfig(0, 0))
-	c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0)})
-	c.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
-	if cmds := c.Step(proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(2, 5)}.
+	fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	if cmds := fptest.Emit(c, proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(2, 5)}.
 		WithPayload(can.EmptySet.Bytes())); cmds != nil {
 		t.Errorf("empty digest produced commands: %v", cmds)
 	}
-	if cmds := c.Step(proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(2, 5)}.
+	if cmds := fptest.Emit(c, proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(2, 5)}.
 		WithPayload([]byte{1, 2})); cmds != nil {
 		t.Errorf("short digest produced commands: %v", cmds)
 	}
@@ -213,13 +214,13 @@ func TestEmptyAndMalformedDigestsIgnored(t *testing.T) {
 // suppression window after the leader goes silent.
 func TestLeaderSuppressionAndFailover(t *testing.T) {
 	backup := mustCore(t, testConfig(1, 0))
-	backup.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1)})
-	backup.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	fptest.Emit(backup, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1)})
+	fptest.Emit(backup, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
 
 	// The leader's digest for the shared segment suppresses the backup.
-	backup.Step(proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(0, 0)}.
+	fptest.Emit(backup, proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(0, 0)}.
 		WithPayload(can.MakeSet(0, 1).Bytes()))
-	cmds := backup.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(10)})
+	cmds := fptest.Emit(backup, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(10)})
 	for _, cmd := range cmds {
 		if cmd.Kind == proto.CmdSendData {
 			t.Fatalf("suppressed backup announced: %v", cmds)
@@ -228,7 +229,7 @@ func TestLeaderSuppressionAndFailover(t *testing.T) {
 
 	// The leader crashes (no more digests). Suppression lapses 2*Tann after
 	// the last leader digest; the next announce expiry emits again.
-	cmds = backup.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(30)})
+	cmds = fptest.Emit(backup, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(30)})
 	var announced bool
 	for _, cmd := range cmds {
 		if cmd.Kind == proto.CmdSendData {
@@ -248,11 +249,11 @@ func TestLeaderSuppressionAndFailover(t *testing.T) {
 // leader.
 func TestDigestForLocalSegmentFromHigherGatewayIgnored(t *testing.T) {
 	leader := mustCore(t, testConfig(0, 0))
-	leader.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1)})
-	leader.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
-	leader.Step(proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(0, 1)}.
+	fptest.Emit(leader, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1)})
+	fptest.Emit(leader, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	fptest.Emit(leader, proto.Event{Kind: proto.EvDataInd, At: at(1), MID: can.FedDigestSign(0, 1)}.
 		WithPayload(can.MakeSet(0, 1).Bytes()))
-	cmds := leader.Step(proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(10)})
+	cmds := fptest.Emit(leader, proto.Event{Kind: proto.EvTimerFired, Timer: proto.TimerFedAnnounce, At: at(10)})
 	var announced bool
 	for _, cmd := range cmds {
 		if cmd.Kind == proto.CmdSendData {
@@ -269,9 +270,9 @@ func TestDigestForLocalSegmentFromHigherGatewayIgnored(t *testing.T) {
 // right away.
 func TestLocalViewChangeAnnouncesImmediately(t *testing.T) {
 	c := mustCore(t, testConfig(0, 0))
-	c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1, 2)})
-	c.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
-	cmds := c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1), At: at(5)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1, 2)})
+	fptest.Emit(c, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	cmds := fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1), At: at(5)})
 	var dig *proto.Command
 	for i, cmd := range cmds {
 		if cmd.Kind == proto.CmdSendData {
@@ -286,7 +287,7 @@ func TestLocalViewChangeAnnouncesImmediately(t *testing.T) {
 		t.Errorf("announced view = %v (err=%v)", view, err)
 	}
 	// An identical view is not a change and must not re-announce.
-	if cmds := c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1), At: at(6)}); cmds != nil {
+	if cmds := fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1), At: at(6)}); cmds != nil {
 		t.Errorf("unchanged view re-announced: %v", cmds)
 	}
 }
@@ -295,8 +296,8 @@ func TestLocalViewChangeAnnouncesImmediately(t *testing.T) {
 // this gateway's to absorb.
 func TestForeignLocalViewIgnored(t *testing.T) {
 	c := mustCore(t, testConfig(0, 0))
-	c.Step(proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
-	if cmds := c.Step(proto.Event{Kind: proto.EvFedLocalView, Node: 5, View: can.MakeSet(1), At: at(1)}); cmds != nil {
+	fptest.Emit(c, proto.Event{Kind: proto.EvBootstrap, At: at(0), View: can.MakeSet(0)})
+	if cmds := fptest.Emit(c, proto.Event{Kind: proto.EvFedLocalView, Node: 5, View: can.MakeSet(1), At: at(1)}); cmds != nil {
 		t.Errorf("foreign local view produced commands: %v", cmds)
 	}
 	if c.Members(5) != can.EmptySet {

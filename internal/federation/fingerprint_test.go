@@ -24,7 +24,7 @@ func TestCoreFingerprint(t *testing.T) {
 		Tann:    10 * time.Millisecond,
 		Tstale:  40 * time.Millisecond,
 	}
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		c, err := federation.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestCoreClone(t *testing.T) {
 		Tann:    10 * time.Millisecond,
 		Tstale:  40 * time.Millisecond,
 	}
-	fresh := func() fptest.Core {
+	fresh := func() proto.Machine {
 		c, err := federation.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestCoreClone(t *testing.T) {
 		return proto.Event{Kind: proto.EvDataInd, MID: can.FedDigestSign(seg, gw), At: at(ms)}.WithPayload(view.Bytes())
 	}
 	fptest.CheckClone(t, fresh,
-		func(c fptest.Core) fptest.Core { return c.(*federation.Core).Clone() },
+		func(c proto.Machine) proto.Machine { return c.(*federation.Core).Clone() },
 		[]fptest.Step{
 			{Name: "local segment view", Ev: proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1), At: at(0)}, Mutates: true},
 			{Name: "bootstrap", Ev: proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 2), At: at(0)}, Mutates: true},

@@ -25,6 +25,7 @@ import (
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 	"canely/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func newFedBinding(t *testing.T, gw can.NodeID, locals ...can.NodeID) *fedBindin
 func (b *fedBinding) step(t *testing.T, ev proto.Event) {
 	t.Helper()
 	ev.At = b.now
-	for _, c := range b.core.Step(ev) {
+	for _, c := range fptest.Emit(b.core, ev) {
 		switch c.Kind {
 		case proto.CmdSetTimer:
 			if c.Delay <= 0 {

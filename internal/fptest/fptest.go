@@ -1,8 +1,9 @@
-// Package fptest checks the Fingerprint contract every sans-I/O protocol
-// core honours: the fingerprint is a pure function of the core's observable
-// state (equal states hash equal — the exploration engine's state-hash
-// pruning is unsound otherwise) and covers all of it (every state-mutating
-// Step perturbs the hash — a silently un-fingerprinted field would let the
+// Package fptest is the test kit for proto.Machine implementations. It
+// checks the Fingerprint contract every sans-I/O protocol core honours: the
+// fingerprint is a pure function of the core's observable state (equal
+// states hash equal — the exploration engine's state-hash pruning is
+// unsound otherwise) and covers all of it (every state-mutating step
+// perturbs the hash — a silently un-fingerprinted field would let the
 // engine prune two genuinely different states against each other and skip
 // the schedules separating them).
 package fptest
@@ -14,11 +15,13 @@ import (
 	"canely/internal/core/proto"
 )
 
-// Core is the slice of a protocol core the fingerprint properties need:
-// every core under test exposes the sans-I/O StepInto plus Fingerprint.
-type Core interface {
-	StepInto(proto.Event, *proto.CommandBuf)
-	Fingerprint(*maphash.Hash)
+// Emit steps m on ev and returns the commands it produced as a fresh
+// slice, nil when the event caused no action — the one-shot form tests
+// want, where production code reuses a CommandBuf across steps.
+func Emit(m proto.Machine, ev proto.Event) []proto.Command {
+	var buf proto.CommandBuf
+	m.StepInto(ev, &buf)
+	return buf.Commands()
 }
 
 // Step is one scripted event together with the expected effect on the
@@ -31,6 +34,17 @@ type Step struct {
 	Mutates bool
 }
 
+// hasher returns a fingerprint function under a fresh seed.
+func hasher() func(proto.Machine) uint64 {
+	seed := maphash.MakeSeed()
+	return func(m proto.Machine) uint64 {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		m.Fingerprint(&h)
+		return h.Sum64()
+	}
+}
+
 // CheckClone checks the Clone contract the exploration engine's
 // checkpoint-and-branch machinery rests on, at every split point of the
 // script: a clone taken after k steps must hash identically to its
@@ -40,15 +54,9 @@ type Step struct {
 // trajectory step for step (the clone is a full peer, not a shallow
 // view), and must leave the original's fingerprint untouched (no aliased
 // mutable state).
-func CheckClone(t *testing.T, fresh func() Core, clone func(Core) Core, script []Step) {
+func CheckClone(t *testing.T, fresh func() proto.Machine, clone func(proto.Machine) proto.Machine, script []Step) {
 	t.Helper()
-	seed := maphash.MakeSeed()
-	sum := func(c Core) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		c.Fingerprint(&h)
-		return h.Sum64()
-	}
+	sum := hasher()
 
 	// Reference trajectory: the uncloned run's fingerprint at every prefix.
 	ref := fresh()
@@ -92,15 +100,9 @@ func CheckClone(t *testing.T, fresh func() Core, clone func(Core) Core, script [
 // property at every step, then replays the identical script on a second
 // fresh core and asserts fingerprint equality at every prefix — two cores
 // that processed the same events are in equal states and must hash equal.
-func Check(t *testing.T, fresh func() Core, script []Step) {
+func Check(t *testing.T, fresh func() proto.Machine, script []Step) {
 	t.Helper()
-	seed := maphash.MakeSeed()
-	sum := func(c Core) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		c.Fingerprint(&h)
-		return h.Sum64()
-	}
+	sum := hasher()
 
 	a := fresh()
 	fps := []uint64{sum(a)}

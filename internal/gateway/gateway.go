@@ -213,7 +213,7 @@ func (g *Gateway) Bootstrap(site can.NodeSet) error {
 	g.fed = fed
 	g.booted = true
 	if g.cfg.Recorder != nil {
-		g.cfg.Recorder.RegisterFed(g.cfg.ID, fcfg)
+		g.cfg.Recorder.Register(replay.NodeConfig{ID: g.cfg.ID, Fed: &fcfg})
 	}
 	for _, l := range g.members {
 		l.member.Bootstrap(l.view)

@@ -34,8 +34,8 @@ func fpScript() []fptest.Step {
 	}
 }
 
-func fpFresh(t *testing.T) func() fptest.Core {
-	return func() fptest.Core {
+func fpFresh(t *testing.T) func() proto.Machine {
+	return func() proto.Machine {
 		g, err := New(0, testConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestGossipFingerprint(t *testing.T) {
 // tracks the reference trajectory, and never aliases its original — the
 // property checkpoint-and-branch exploration rests on.
 func TestGossipClone(t *testing.T) {
-	fptest.CheckClone(t, fpFresh(t), func(c fptest.Core) fptest.Core {
+	fptest.CheckClone(t, fpFresh(t), func(c proto.Machine) proto.Machine {
 		return c.(*Core).Clone()
 	}, fpScript())
 }

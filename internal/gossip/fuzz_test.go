@@ -22,6 +22,7 @@ import (
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 	"canely/internal/sim"
 )
 
@@ -59,8 +60,8 @@ func fuzzEvent(op, a, b byte) proto.Event {
 }
 
 func FuzzGossipCore(f *testing.F) {
-	f.Add([]byte{0, 7, 1, 3, 20, 0, 6, 0x21, 1})                   // bootstrap, tick, ack
-	f.Add([]byte{1, 6, 2, 3, 20, 0, 4, 25, 0, 5, 200, 0})          // join, probe, timeouts
+	f.Add([]byte{0, 7, 1, 3, 20, 0, 6, 0x21, 1})                    // bootstrap, tick, ack
+	f.Add([]byte{1, 6, 2, 3, 20, 0, 4, 25, 0, 5, 200, 0})           // join, probe, timeouts
 	f.Add([]byte{0, 255, 7, 6, 0x12, 0x82, 6, 0x13, 0xC2, 2, 9, 0}) // suspicion, death, leave
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := New(0, Config{
@@ -76,7 +77,7 @@ func FuzzGossipCore(f *testing.F) {
 		var prevSt, prevInc [can.MaxNodes]uint8
 		for i := 0; i+2 < len(data); i += 3 {
 			ev := fuzzEvent(data[i], data[i+1], data[i+2])
-			cmds := g.Step(ev)
+			cmds := fptest.Emit(g, ev)
 
 			if !g.left && !g.View().Contains(0) {
 				t.Fatalf("event %v evicted the local node from its own view", ev)

@@ -207,9 +207,6 @@ func (g *Core) Suspects() can.NodeSet { return g.suspects }
 // Dead returns the nodes this core has confirmed failed.
 func (g *Core) Dead() can.NodeSet { return g.dead }
 
-// Started reports whether the core has consumed a bootstrap or join.
-func (g *Core) Started() bool { return g.started }
-
 // Incarnation returns the highest incarnation known for node n.
 func (g *Core) Incarnation(n can.NodeID) uint8 { return g.inc[n] }
 
@@ -267,14 +264,6 @@ func (g *Core) Fingerprint(h *maphash.Hash) {
 			proto.HashU64(h, uint64(n)<<24|uint64(q.st)<<16|uint64(q.inc)<<8|uint64(q.sends))
 		}
 	}
-}
-
-// Step consumes one event and returns a fresh command slice (nil when the
-// event produced no action). Compatibility wrapper over StepInto.
-func (g *Core) Step(ev proto.Event) []proto.Command {
-	var buf proto.CommandBuf
-	g.StepInto(ev, &buf)
-	return buf.Commands()
 }
 
 // StepInto consumes one event, appending the resulting commands to buf.

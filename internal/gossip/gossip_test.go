@@ -7,6 +7,7 @@ import (
 	"canely/internal/can"
 	"canely/internal/core/proto"
 	"canely/internal/datagram"
+	"canely/internal/fptest"
 	simtime "canely/internal/sim"
 )
 
@@ -159,14 +160,14 @@ func TestRefutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Step(proto.Event{Kind: proto.EvBootstrap, View: can.NodeSet(0b111)})
+	fptest.Emit(g, proto.Event{Kind: proto.EvBootstrap, View: can.NodeSet(0b111)})
 	if g.Incarnation(1) != 0 {
 		t.Fatalf("fresh incarnation %d, want 0", g.Incarnation(1))
 	}
 	// Piggyback suspect(n1, inc 0) on a ping from node 0.
 	ev := proto.Event{Kind: proto.EvDataInd, At: 1, MID: can.GossipSign(1, 0, packRef(kindPing, 3))}
 	ev = ev.WithPayload([]byte{0, 1 | stSuspect<<6, 0})
-	cmds := g.Step(ev)
+	cmds := fptest.Emit(g, ev)
 	if g.Incarnation(1) != 1 {
 		t.Fatalf("suspected core has incarnation %d, want 1 (refuted)", g.Incarnation(1))
 	}
@@ -198,10 +199,10 @@ func TestDeadStaysDeadSameIncarnation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Step(proto.Event{Kind: proto.EvBootstrap, View: can.NodeSet(0b111)})
+	fptest.Emit(g, proto.Event{Kind: proto.EvBootstrap, View: can.NodeSet(0b111)})
 	feed := func(at simtime.Time, upd ...byte) {
 		ev := proto.Event{Kind: proto.EvDataInd, At: at, MID: can.GossipSign(0, 1, packRef(kindPing, 1))}
-		g.Step(ev.WithPayload(append([]byte{1}, upd...)))
+		fptest.Emit(g, ev.WithPayload(append([]byte{1}, upd...)))
 	}
 	feed(1, 2|stDead<<6, 0)
 	if g.View().Contains(2) || !g.Dead().Contains(2) {

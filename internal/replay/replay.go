@@ -1,9 +1,9 @@
 // Package replay records the event/command streams of the sans-I/O
 // protocol cores during a live run and deterministically re-executes them.
 //
-// Because a core is pure — Step(Event) []Command, no scheduler, bus or
-// trace handles — its entire behaviour is a function of its configuration
-// and the event sequence it consumed. A Log captures both; Verify rebuilds
+// Because a core is pure — a proto.Machine with no scheduler, bus or trace
+// handles — its entire behaviour is a function of its configuration and
+// the event sequence it consumed. A Log captures both; Verify rebuilds
 // fresh cores from the recorded configurations, pumps the recorded events
 // through them in order, and asserts command-for-command equality with the
 // recorded outputs. Any divergence (a non-deterministic core, an unrecorded
@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"canely/internal/can"
@@ -30,7 +31,8 @@ import (
 
 // NodeConfig is the recorded configuration of one node's core: a composite
 // protocol core (Core), a gateway's federation core (Fed) or a SWIM
-// gossip core (Gossip) — exactly one is set.
+// gossip core (Gossip) — exactly one is set. Gateway and node ids share one
+// namespace per log; drivers keep separate logs when they collide.
 type NodeConfig struct {
 	ID     can.NodeID         `json:"id"`
 	Core   *core.Config       `json:"core,omitempty"`
@@ -56,25 +58,10 @@ type Log struct {
 // New creates an empty log.
 func New() *Log { return &Log{} }
 
-// Register adds a node's composite-core configuration. Must be called
-// before any of the node's records are appended.
-func (l *Log) Register(id can.NodeID, cfg core.Config) {
-	l.Nodes = append(l.Nodes, NodeConfig{ID: id, Core: &cfg})
-}
-
-// RegisterFed adds a gateway's federation-core configuration. Must be
-// called before any of the gateway's records are appended. Gateway and
-// node ids share one namespace per log; drivers keep separate logs when
-// they collide.
-func (l *Log) RegisterFed(id can.NodeID, cfg federation.Config) {
-	l.Nodes = append(l.Nodes, NodeConfig{ID: id, Fed: &cfg})
-}
-
-// RegisterGossip adds a node's gossip-core configuration. Must be called
-// before any of the node's records are appended.
-func (l *Log) RegisterGossip(id can.NodeID, cfg gossip.Config) {
-	l.Nodes = append(l.Nodes, NodeConfig{ID: id, Gossip: &cfg})
-}
+// Register adds a node's configuration. Must be called before any of the
+// node's records are appended. The log keeps nc's config pointer: hand in
+// one nothing else will mutate.
+func (l *Log) Register(nc NodeConfig) { l.Nodes = append(l.Nodes, nc) }
 
 // Append records one Step. The command slice is copied: callers (the stack
 // binding) hand in views of reused buffers that are invalid past the call.
@@ -95,6 +82,19 @@ func (l *Log) Save(w io.Writer) error {
 	return enc.Encode(l)
 }
 
+// SaveFile writes the log to a new file at path.
+func (l *Log) SaveFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := l.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // Load reads a log written by Save.
 func Load(r io.Reader) (*Log, error) {
 	var l Log
@@ -104,38 +104,71 @@ func Load(r io.Reader) (*Log, error) {
 	return &l, nil
 }
 
-// stepper is the replayable surface both core kinds share.
-type stepper interface {
-	StepInto(proto.Event, *proto.CommandBuf)
+// constructors is the one place a recorded configuration becomes a core:
+// one row per NodeConfig key, each returning nil when its key is unset.
+// Adding a protocol to the replay format is adding a field and a row.
+var constructors = [...]struct {
+	key   string
+	build func(NodeConfig) (proto.Machine, error)
+}{
+	{"core", func(nc NodeConfig) (proto.Machine, error) {
+		if nc.Core == nil {
+			return nil, nil
+		}
+		return core.New(nc.ID, *nc.Core)
+	}},
+	{"fed", func(nc NodeConfig) (proto.Machine, error) {
+		if nc.Fed == nil {
+			return nil, nil
+		}
+		return federation.New(*nc.Fed)
+	}},
+	{"gossip", func(nc NodeConfig) (proto.Machine, error) {
+		if nc.Gossip == nil {
+			return nil, nil
+		}
+		return gossip.New(nc.ID, *nc.Gossip)
+	}},
+}
+
+// New builds the fresh core the configuration describes. A configuration
+// with no key set, or with more than one, describes no single core and is
+// rejected: a log is outside input, and preferring one key silently would
+// check the node's records against the wrong protocol.
+func (nc NodeConfig) New() (proto.Machine, error) {
+	var m proto.Machine
+	for _, c := range constructors {
+		built, err := c.build(nc)
+		if err != nil {
+			return nil, fmt.Errorf("replay: building the %s core of node %v: %w", c.key, nc.ID, err)
+		}
+		if built == nil {
+			continue
+		}
+		if m != nil {
+			return nil, fmt.Errorf("replay: node %v registered with more than one core configuration", nc.ID)
+		}
+		m = built
+	}
+	if m == nil {
+		return nil, fmt.Errorf("replay: node %v registered without a core configuration", nc.ID)
+	}
+	return m, nil
 }
 
 // Verify re-executes the log on fresh cores and checks command-for-command
 // equality. It returns nil when the replay reproduces the capture exactly.
 func (l *Log) Verify() error {
-	nodes := make(map[can.NodeID]stepper, len(l.Nodes))
+	nodes := make(map[can.NodeID]proto.Machine, len(l.Nodes))
 	for _, nc := range l.Nodes {
-		switch {
-		case nc.Fed != nil:
-			n, err := federation.New(*nc.Fed)
-			if err != nil {
-				return fmt.Errorf("replay: rebuilding federation core %v: %w", nc.ID, err)
-			}
-			nodes[nc.ID] = n
-		case nc.Core != nil:
-			n, err := core.New(nc.ID, *nc.Core)
-			if err != nil {
-				return fmt.Errorf("replay: rebuilding core %v: %w", nc.ID, err)
-			}
-			nodes[nc.ID] = n
-		case nc.Gossip != nil:
-			n, err := gossip.New(nc.ID, *nc.Gossip)
-			if err != nil {
-				return fmt.Errorf("replay: rebuilding gossip core %v: %w", nc.ID, err)
-			}
-			nodes[nc.ID] = n
-		default:
-			return fmt.Errorf("replay: node %v registered without a core configuration", nc.ID)
+		if nodes[nc.ID] != nil {
+			return fmt.Errorf("replay: node %v registered twice", nc.ID)
 		}
+		m, err := nc.New()
+		if err != nil {
+			return err
+		}
+		nodes[nc.ID] = m
 	}
 	var buf proto.CommandBuf
 	for i, rec := range l.Records {

@@ -9,6 +9,8 @@ import (
 	"canely/internal/can"
 	"canely/internal/core/proto"
 	"canely/internal/federation"
+	"canely/internal/fptest"
+	"canely/internal/gossip"
 	"canely/internal/sim"
 )
 
@@ -27,9 +29,9 @@ func TestFederationLogRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := New()
-	log.RegisterFed(7, cfg)
+	log.Register(NodeConfig{ID: 7, Fed: &cfg})
 	step := func(ev proto.Event) {
-		log.Append(7, ev, core.Step(ev))
+		log.Append(7, ev, fptest.Emit(core, ev))
 	}
 	step(proto.Event{Kind: proto.EvFedLocalView, Node: 0, View: can.MakeSet(0, 1, 7)})
 	step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 2)})
@@ -72,11 +74,28 @@ func TestFederationLogRoundTrips(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsConfiglessNode pins the new exactly-one-core contract.
+// TestVerifyRejectsConfiglessNode pins the exactly-one-core-per-node
+// contract on a loaded log: every malformed registration is refused with an
+// error naming the node, before any record is checked against a core of the
+// wrong protocol.
 func TestVerifyRejectsConfiglessNode(t *testing.T) {
-	log := New()
-	log.Nodes = append(log.Nodes, NodeConfig{ID: 1})
-	if err := log.Verify(); err == nil {
-		t.Fatal("config-less node accepted")
+	fed := federation.Config{Gateway: 1, Locals: can.MakeSet(0), Tann: 10 * time.Millisecond, Tstale: 40 * time.Millisecond}
+	gsp := gossip.Config{Period: 20 * time.Millisecond, AckTimeout: 5 * time.Millisecond,
+		SuspectTimeout: 60 * time.Millisecond, Fanout: 1, Retransmit: 3}
+	for _, tc := range []struct {
+		name  string
+		nodes []NodeConfig
+		want  string
+	}{
+		{"no configuration", []NodeConfig{{ID: 1}}, "n01 registered without a core configuration"},
+		{"two configurations", []NodeConfig{{ID: 1, Fed: &fed, Gossip: &gsp}}, "n01 registered with more than one core configuration"},
+		{"duplicate id", []NodeConfig{{ID: 1, Gossip: &gsp}, {ID: 1, Fed: &fed}}, "n01 registered twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := (&Log{Nodes: tc.nodes}).Verify()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Verify() = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
+	"canely/internal/fptest"
 	"canely/internal/gossip"
 	"canely/internal/sim"
 )
@@ -30,9 +31,9 @@ func TestGossipLogRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := New()
-	log.RegisterGossip(0, cfg)
+	log.Register(NodeConfig{ID: 0, Gossip: &cfg})
 	step := func(ev proto.Event) {
-		log.Append(0, ev, core.Step(ev))
+		log.Append(0, ev, fptest.Emit(core, ev))
 	}
 	at := func(ms int) sim.Time { return sim.Time(time.Duration(ms) * time.Millisecond) }
 	step(proto.Event{Kind: proto.EvBootstrap, View: can.MakeSet(0, 1, 2)})

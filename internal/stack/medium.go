@@ -2,7 +2,6 @@ package stack
 
 import (
 	"fmt"
-	"time"
 
 	"canely/internal/bus"
 	"canely/internal/can"
@@ -102,10 +101,6 @@ func NewMedium(sched *sim.Scheduler, cfg MediumConfig) Medium {
 type bitMedium struct{ *bus.Bus }
 
 func (m bitMedium) Attach(id can.NodeID) Port { return m.Bus.Attach(id) }
-
-// Elapsed is promoted from *bus.Bus; restated here only for documentation
-// symmetry with fastMedium.
-func (m bitMedium) Elapsed() time.Duration { return m.Bus.Elapsed() }
 
 // fastMedium adapts the frame-level substrate.
 type fastMedium struct{ *fastbus.Bus }

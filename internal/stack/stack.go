@@ -215,7 +215,7 @@ func New(sched *sim.Scheduler, media []Medium, id can.NodeID, cfg Config, tr *tr
 	st.Core = cn
 	st.FDA, st.Det, st.Msh, st.RHA = cn.FDA, cn.Det, cn.Msh, cn.RHA
 	if cfg.Recorder != nil {
-		cfg.Recorder.Register(id, core.Config{FD: cfg.FD, Membership: cfg.Membership})
+		cfg.Recorder.Register(replay.NodeConfig{ID: id, Core: &core.Config{FD: cfg.FD, Membership: cfg.Membership}})
 	}
 
 	// Alarm machinery. The scan event is raw (cancel + reschedule chases
