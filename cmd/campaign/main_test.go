@@ -57,6 +57,32 @@ func TestParseGridErrors(t *testing.T) {
 	}
 }
 
+// TestStudyByName: -study resolves every table name (and the empty name to
+// the default), and an unknown name is rejected with the list of names.
+func TestStudyByName(t *testing.T) {
+	for _, want := range experiments.Studies {
+		got, err := studyByName(want.Name)
+		if err != nil || got.Name != want.Name {
+			t.Errorf("studyByName(%q) = %q, %v", want.Name, got.Name, err)
+		}
+		if !strings.Contains(studyHelp(), want.Name) {
+			t.Errorf("-study help does not mention %q", want.Name)
+		}
+	}
+	if def, err := studyByName(""); err != nil || def.Name != "crash-qos" {
+		t.Errorf("default study = %q, %v; want crash-qos", def.Name, err)
+	}
+	_, err := studyByName("bench")
+	if err == nil {
+		t.Fatal("unknown study accepted")
+	}
+	for _, st := range experiments.Studies {
+		if !strings.Contains(err.Error(), st.Name) {
+			t.Errorf("error %q does not list %q", err, st.Name)
+		}
+	}
+}
+
 // TestCampaignEndToEnd runs a tiny real campaign through the same spec the
 // CLI builds and checks the exported artifacts are well-formed.
 func TestCampaignEndToEnd(t *testing.T) {
@@ -64,7 +90,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := experiments.CrashQoSSpec(canely.DefaultConfig(), 5, axes,
+	spec := experiments.Studies[0].Spec(canely.DefaultConfig(), 5, axes,
 		campaign.SeedRange{Base: 1, N: 2})
 	runner := campaign.Runner{Workers: 2}
 	results, err := runner.Run(context.Background(), spec)

@@ -14,7 +14,6 @@
 //	explore -schedules 1000000 -workers 4
 //	explore -naive -depth 8                      # unreduced reference walk
 //	explore -no-snapshot                         # root-replay mode (A/B baseline)
-//	explore -checkpoint 4 -snap-budget 33554432  # sparse checkpoints, 32 MiB cap
 //	explore -drop 0:fda -o counterexample.json   # find an injected-fault trace
 package main
 
@@ -42,8 +41,6 @@ type options struct {
 	noPrune    bool
 	noPOR      bool
 	noSnapshot bool
-	checkpoint int
-	snapBudget int64
 	drop       string
 	out        string
 	progress   time.Duration
@@ -120,14 +117,12 @@ func run(out, progress io.Writer, o options) int {
 		return 2
 	}
 	eng, err := explore.New(explore.Config{
-		Scenario:      sc,
-		Workers:       o.workers,
-		Target:        o.schedules,
-		Prune:         !o.naive && !o.noPrune,
-		POR:           !o.naive && !o.noPOR,
-		NoSnapshot:    o.noSnapshot,
-		SnapshotEvery: o.checkpoint,
-		SnapBudget:    o.snapBudget,
+		Scenario:   sc,
+		Workers:    o.workers,
+		Target:     o.schedules,
+		Prune:      !o.naive && !o.noPrune,
+		POR:        !o.naive && !o.noPOR,
+		NoSnapshot: o.noSnapshot,
 	})
 	if err != nil {
 		fmt.Fprintln(progress, "explore:", err)
@@ -205,10 +200,10 @@ func progressLine(s explore.Stats, elapsed time.Duration) string {
 		pruneRate = 100 * float64(s.Pruned+s.Slept) / float64(r)
 		hitRate = 100 * float64(s.Resumed) / float64(r)
 	}
-	return fmt.Sprintf("t=%-8s schedules=%d (%.0f/s) crash=%d pruned=%d slept=%d (%.1f%%) distinct=%d frontier=%d depth=%d resumed=%d (%.1f%% hit) saved=%d snap=%d/%dKiB",
+	return fmt.Sprintf("t=%-8s schedules=%d (%.0f/s) crash=%d pruned=%d slept=%d (%.1f%%) distinct=%d frontier=%d depth=%d resumed=%d (%.1f%% hit) saved=%d",
 		elapsed.Truncate(100*time.Millisecond), s.Schedules, rate,
 		s.CrashSchedules, s.Pruned, s.Slept, pruneRate, s.Distinct, s.Frontier, s.PeakDepth,
-		s.Resumed, hitRate, s.ReplaySaved, s.Snapshots, s.SnapBytes>>10)
+		s.Resumed, hitRate, s.ReplaySaved)
 }
 
 func main() {
@@ -222,8 +217,6 @@ func main() {
 	flag.BoolVar(&o.noPrune, "no-prune", false, "disable state-hash pruning")
 	flag.BoolVar(&o.noPOR, "no-por", false, "disable the sleep-set partial-order reduction")
 	flag.BoolVar(&o.noSnapshot, "no-snapshot", false, "disable checkpoint-and-branch resumption (replay every prefix from the root)")
-	flag.IntVar(&o.checkpoint, "checkpoint", 1, "checkpoint cadence: capture at every k-th new branch decision")
-	flag.Int64Var(&o.snapBudget, "snap-budget", 0, "cap live checkpoint memory in bytes (0 = unlimited)")
 	flag.StringVar(&o.drop, "drop", "", "inject a reception fault: node:type (e.g. 0:fda)")
 	flag.StringVar(&o.out, "o", "counterexample.json", "counterexample replay log path")
 	flag.DurationVar(&o.progress, "progress", time.Second, "progress reporting interval (0 = quiet)")

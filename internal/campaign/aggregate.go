@@ -91,10 +91,13 @@ func quantileSorted(sorted []float64, q float64) float64 {
 }
 
 // StdDev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two observations.
+// fewer than two observations. A constant sample has deviation exactly 0:
+// sum/n need not round back to the repeated value (20 × 0.637 averages to
+// 0.6370000000000002), and a deterministic sweep must not report that
+// rounding residue as a confidence interval.
 func (s *Sample) StdDev() float64 {
 	n := len(s.vals)
-	if n < 2 {
+	if n < 2 || s.min == s.max {
 		return 0
 	}
 	mean := s.Mean()

@@ -263,22 +263,6 @@ type Runner struct {
 	// puts a shared mutex on the completion path; throughput benchmarks
 	// leave it nil.
 	Progress func(done, total int)
-	// WorkerRuns, after Run returns, holds how many runs each worker
-	// executed — the load-balance diagnostic behind the throughput numbers
-	// in BENCH_campaign.json.
-	WorkerRuns []int
-}
-
-// workerScratch is one worker's private hot state: the pooled scheduler its
-// runs reuse and its completed-run counter. Padded to 128 bytes — two cache
-// lines — so slice-adjacent workers never write-share a line even through
-// the adjacent-line spatial prefetcher: with the old design every completed
-// run touched cross-worker shared state (an unbuffered channel handoff plus
-// a progress mutex), which flattened worker scaling on multi-core hosts.
-type workerScratch struct {
-	sched *sim.Scheduler
-	runs  int64
-	_     [112]byte
 }
 
 // Run executes every run of the spec and returns the results ordered by run
@@ -289,10 +273,11 @@ type workerScratch struct {
 //
 // Work distribution is chunked claiming off an atomic cursor: a worker
 // grabs a span of consecutive run indices at a time, so the per-run cost of
-// synchronization is one padded-counter bump and 1/chunk-th of an atomic
-// add, with no channel handoff. Runs within a chunk share grid-point cache
-// locality (runs are enumerated point-major), and the chunk size caps at a
-// small fraction of total/workers so tail imbalance stays bounded.
+// synchronization is 1/chunk-th of an atomic add, with no channel handoff
+// and no per-run write to state another worker touches. Runs within a chunk
+// share grid-point cache locality (runs are enumerated point-major), and the
+// chunk size caps at a small fraction of total/workers so tail imbalance
+// stays bounded.
 //
 // Each worker owns one arena-backed scheduler for its whole lifetime,
 // injected into every run through Config.Scheduler (see execute): after the
@@ -319,7 +304,6 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) ([]RunResult, error) {
 		chunk = 64
 	}
 	results := make([]RunResult, total)
-	scratch := make([]workerScratch, workers)
 	var (
 		cursor  atomic.Int64
 		skipped atomic.Bool
@@ -329,9 +313,9 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) ([]RunResult, error) {
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(ws *workerScratch) {
+		go func() {
 			defer wg.Done()
-			ws.sched = sim.NewScheduler()
+			sched := sim.NewScheduler()
 			for {
 				if ctx.Err() != nil {
 					skipped.Store(true)
@@ -350,8 +334,7 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) ([]RunResult, error) {
 						skipped.Store(true)
 						return
 					}
-					results[i] = spec.execute(i, ws.sched)
-					ws.runs++
+					results[i] = spec.execute(i, sched)
 					if r.Progress != nil {
 						mu.Lock()
 						done++
@@ -360,13 +343,9 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) ([]RunResult, error) {
 					}
 				}
 			}
-		}(&scratch[w])
+		}()
 	}
 	wg.Wait()
-	r.WorkerRuns = make([]int, workers)
-	for w := range scratch {
-		r.WorkerRuns[w] = int(scratch[w].runs)
-	}
 	if skipped.Load() {
 		return nil, ctx.Err()
 	}

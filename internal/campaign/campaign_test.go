@@ -322,6 +322,15 @@ func TestSampleQuantiles(t *testing.T) {
 	if math.Abs(s.CI95()-1.96*s.StdDev()/2) > 1e-12 {
 		t.Fatalf("ci95 = %v", s.CI95())
 	}
+	// A constant sample has no spread, whatever sum/n rounds to: 20 × 0.637
+	// averages to 0.6370000000000002.
+	var flat Sample
+	for i := 0; i < 20; i++ {
+		flat.Add(0.637)
+	}
+	if flat.StdDev() != 0 || flat.CI95() != 0 || flat.Summary().CI95 != 0 {
+		t.Fatalf("constant sample: stddev %v, ci95 %v, want exactly 0", flat.StdDev(), flat.CI95())
+	}
 }
 
 func TestMergeMetric(t *testing.T) {

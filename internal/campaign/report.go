@@ -39,6 +39,17 @@ func (p PointReport) Key() string {
 	return strings.Join(parts, ",")
 }
 
+// Metric returns the aggregate of the named metric at this point, or the
+// zero Agg (Count 0) when no run of the point reported it.
+func (p PointReport) Metric(name string) Agg {
+	for _, m := range p.Metrics {
+		if m.Name == name {
+			return m.Agg
+		}
+	}
+	return Agg{}
+}
+
 // Report is the statistical summary of a campaign: the exported artifact.
 // It carries no wall-clock state, so two executions of the same spec
 // produce byte-identical JSON regardless of worker count.

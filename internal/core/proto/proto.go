@@ -391,12 +391,10 @@ type Command struct {
 	// the lazy trace templates.
 	View can.NodeSet `json:"rhaView,omitempty"`
 	// TraceKind classifies a CmdTrace event. TraceMsg selects the lazy
-	// message template (operands live in Node/Active/View); Msg carries
-	// pre-formatted text for the eager Trace/Tracef path. TraceText renders
-	// either on demand.
+	// message template (operands live in Node/Active/View); TraceText
+	// renders it on demand.
 	TraceKind trace.Kind `json:"traceKind,omitempty"`
 	TraceMsg  TraceMsgID `json:"traceMsg,omitempty"`
-	Msg       string     `json:"msg,omitempty"`
 }
 
 // Payload returns the inlined data bytes.
@@ -473,7 +471,8 @@ func CancelTimer(id TimerID) Command { return Command{Kind: CmdCancelTimer, Time
 type TraceMsgID uint8
 
 const (
-	// TraceMsgNone marks an eager trace command: Msg carries the text.
+	// TraceMsgNone is the zero value: no template, the command is not a
+	// trace command.
 	TraceMsgNone TraceMsgID = iota
 	// TraceMsgELS renders "explicit life-sign".
 	TraceMsgELS
@@ -499,9 +498,8 @@ const (
 	TraceMsgSiteChange
 )
 
-// TraceText renders the message of a CmdTrace command: the lazy template
-// when TraceMsg is set, the pre-formatted Msg otherwise. Only trace sinks
-// call it — a run without one never formats.
+// TraceText renders the message of a CmdTrace command from its lazy
+// template. Only trace sinks call it — a run without one never formats.
 func (c Command) TraceText() string {
 	switch c.TraceMsg {
 	case TraceMsgELS:
@@ -527,7 +525,7 @@ func (c Command) TraceText() string {
 	case TraceMsgSiteChange:
 		return fmt.Sprintf("site %v -> %v", c.Active, c.View)
 	}
-	return c.Msg
+	return ""
 }
 
 // TraceELS traces an explicit life-sign broadcast.

@@ -165,64 +165,6 @@ func TestMailboxReplace(t *testing.T) {
 	}
 }
 
-// TestAbortSemantics: waiting requests are abortable, the serializing
-// frame is not (it is already on the wire).
-func TestAbortSemantics(t *testing.T) {
-	sched, n := newNet(t, Config{})
-	n.Attach(0)
-	n.Attach(1).SetHandler(&rec{})
-	p := n.ports[0]
-	first := dataFrame(0, 1)
-	second := can.Frame{ID: can.DataSign(1, 0, 7).Encode()}
-	if err := p.Request(first); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Request(second); err != nil {
-		t.Fatal(err)
-	}
-	if p.Abort(first.ID) {
-		t.Error("aborted the frame being serialized")
-	}
-	if !p.Pending(second.ID) || !p.Abort(second.ID) {
-		t.Error("waiting request not abortable")
-	}
-	if p.Pending(second.ID) {
-		t.Error("aborted request still pending")
-	}
-	sched.Run()
-	if p.TxSuccesses() != 1 {
-		t.Errorf("tx successes %d, want 1", p.TxSuccesses())
-	}
-}
-
-// TestCrashIdempotent: Crash is the port-close operation; closing twice is
-// a no-op, and a crashed port rejects requests and receives nothing.
-func TestCrashIdempotent(t *testing.T) {
-	sched, n := newNet(t, Config{})
-	h := &rec{}
-	n.Attach(0)
-	n.Attach(1).SetHandler(h)
-	p := n.ports[1]
-	p.Crash()
-	p.Crash() // idempotent
-	if p.Alive() || p.Operational() {
-		t.Error("crashed port reports alive")
-	}
-	if err := p.Request(dataFrame(1, 1)); err != bus.ErrRequestRejected {
-		t.Errorf("crashed port accepted a request: %v", err)
-	}
-	if err := n.ports[0].Request(dataFrame(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if len(h.frames) != 0 {
-		t.Error("crashed port received traffic")
-	}
-	if n.AliveSet() != can.MakeSet(0) {
-		t.Errorf("alive set %v, want {0}", n.AliveSet())
-	}
-}
-
 // TestCrashCannotRecallInFlight: a copy already in flight still arrives
 // after the sender crashes; a copy not yet serialized never leaves.
 func TestCrashCannotRecallInFlight(t *testing.T) {

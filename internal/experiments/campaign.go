@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -81,4 +82,56 @@ func CrashQoSSpec(base canely.Config, n int, axes []campaign.Axis, seeds campaig
 			return q.Metrics(), nil
 		},
 	}
+}
+
+// Study is one named sweep: a campaign.Spec constructor and nothing else.
+// Its result is the campaign.Report that Runner.Run + Summarize produce.
+// nodes is the network size per run; grid holds configuration axes swept
+// on top of whatever workload axis the study brings itself.
+type Study struct {
+	Name, Doc string
+	Spec      func(base canely.Config, nodes int, grid []campaign.Axis, seeds campaign.SeedRange) *campaign.Spec
+}
+
+// Studies is the table of sweep studies, default first: the one place a
+// CLI resolves a study name, and the source of its help and error text.
+var Studies = []Study{
+	{"crash-qos", "failure-detector QoS of one crash; the grid defaults to tb=5ms,10ms,20ms,40ms",
+		func(base canely.Config, nodes int, grid []campaign.Axis, seeds campaign.SeedRange) *campaign.Spec {
+			if len(grid) == 0 {
+				grid = []campaign.Axis{campaign.DurationAxis("tb",
+					func(c *canely.Config, v time.Duration) { c.Tb = v },
+					5*time.Millisecond, 10*time.Millisecond, 20*time.Millisecond, 40*time.Millisecond)}
+			}
+			return CrashQoSSpec(base, nodes, grid, seeds)
+		}},
+	{"federation", "site convergence and segment-crash detection over segments=4,8,16,32 of -nodes nodes each",
+		func(base canely.Config, nodes int, grid []campaign.Axis, seeds campaign.SeedRange) *campaign.Spec {
+			spec := FederationSpec(base, []int{4, 8, 16, 32}, nodes, seeds)
+			spec.Axes = append(spec.Axes, grid...)
+			return spec
+		}},
+	{"gossip", "CANELy vs SWIM model over nodes=10,100,1000,10000; -nodes is unused",
+		func(base canely.Config, _ int, grid []campaign.Axis, seeds campaign.SeedRange) *campaign.Spec {
+			spec := GossipComparisonSpec(base, DefaultGossipModel(), []int{10, 100, 1000, 10000}, seeds)
+			spec.Axes = append(spec.Axes, grid...)
+			return spec
+		}},
+}
+
+// mustRun executes a spec this package built on workers goroutines (0 =
+// GOMAXPROCS). With an uncancelled context the only error Run returns is a
+// malformed spec — a bug here, hence the panic.
+func mustRun(spec *campaign.Spec, workers int) []campaign.RunResult {
+	runner := campaign.Runner{Workers: workers}
+	runs, err := runner.Run(context.Background(), spec)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s campaign: %v", spec.Name, err))
+	}
+	return runs
+}
+
+// report runs a spec and reduces it to its campaign.Report.
+func report(spec *campaign.Spec) *campaign.Report {
+	return campaign.Summarize(spec, mustRun(spec, 0))
 }

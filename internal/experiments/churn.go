@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -76,22 +75,11 @@ func MeasureChurnSweep(sub canely.Substrate, cs []int, tm time.Duration, trials 
 			}, nil
 		},
 	}
-	runner := campaign.Runner{}
-	runs, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: churn campaign: %v", err))
-	}
-	rep := campaign.Summarize(spec, runs)
+	rep := report(spec)
 	out := make([]ChurnPoint, 0, len(cs))
 	for i, p := range rep.Points {
-		pt := ChurnPoint{C: cs[i]}
-		for _, m := range p.Metrics {
-			if m.Name == "util" {
-				pt.Utilization = m.Agg.Mean
-				pt.CI95 = m.Agg.CI95
-			}
-		}
-		out = append(out, pt)
+		util := p.Metric("util")
+		out = append(out, ChurnPoint{C: cs[i], Utilization: util.Mean, CI95: util.CI95})
 	}
 	return out
 }

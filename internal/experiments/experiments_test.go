@@ -7,6 +7,7 @@ import (
 
 	"canely"
 	"canely/internal/analysis"
+	"canely/internal/campaign"
 )
 
 func TestMeasuredFigure10ShapeMatchesAnalysis(t *testing.T) {
@@ -155,29 +156,63 @@ func TestChurnSweepMonotoneAndCalibrated(t *testing.T) {
 	}
 }
 
-func TestFederationSweepScalesWithSegments(t *testing.T) {
-	points := MeasureFederationSweep(canely.SubstrateFast, []int{4, 8, 16}, 3, 3, 1)
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
+// TestStudiesRun runs every entry of the study table at two seeds: each
+// must produce a non-empty, failure-free Report — the same run CI makes
+// through cmd/campaign -study.
+func TestStudiesRun(t *testing.T) {
+	base := canely.DefaultConfig()
+	base.Substrate = canely.SubstrateFast
+	for _, st := range Studies {
+		t.Run(st.Name, func(t *testing.T) {
+			if st.Doc == "" {
+				t.Error("study has no doc line")
+			}
+			spec := st.Spec(base, 4, nil, campaign.SeedRange{Base: 1, N: 2})
+			rep := report(spec)
+			if rep.Runs != 2*len(rep.Points) || rep.Runs == 0 || rep.Failed != 0 {
+				t.Fatalf("runs=%d points=%d failed=%d:\n%s", rep.Runs, len(rep.Points), rep.Failed, rep.Table())
+			}
+			for _, p := range rep.Points {
+				if len(p.Metrics) == 0 {
+					t.Fatalf("%s: no metrics", p.Key())
+				}
+				for _, m := range p.Metrics {
+					if m.Agg.Count != 2 {
+						t.Fatalf("%s %s: %d samples, want 2", p.Key(), m.Name, m.Agg.Count)
+					}
+				}
+			}
+		})
 	}
-	for i, p := range points {
+}
+
+func TestFederationSweepScalesWithSegments(t *testing.T) {
+	base := canely.DefaultConfig()
+	base.Substrate = canely.SubstrateFast
+	spec := FederationSpec(base, []int{4, 8, 16}, 3, campaign.SeedRange{Base: 1, N: 3})
+	rep := report(spec)
+	if len(rep.Points) != 3 || rep.Failed != 0 {
+		t.Fatalf("points = %d, failed = %d", len(rep.Points), rep.Failed)
+	}
+	for i, p := range rep.Points {
 		// Detection is staleness-driven: around Tstale (40ms), never an
 		// order of magnitude away, and independent of segment count.
-		if p.DetectMs < 30 || p.DetectMs > 80 {
-			t.Fatalf("%d segments: detection %0.2fms outside the Tstale envelope", p.Segments, p.DetectMs)
+		if d := p.Metric("detect_ms").Mean; d < 30 || d > 80 {
+			t.Fatalf("%s: detection %0.2fms outside the Tstale envelope", p.Key(), d)
 		}
 		// Convergence is digest fan-in on a shared backbone: it grows with
 		// the segment count but stays well inside one announcement cycle
 		// per round.
-		if p.ConvergeMs <= 0 || p.ConvergeMs > 100 {
-			t.Fatalf("%d segments: convergence %0.2fms out of envelope", p.Segments, p.ConvergeMs)
+		c := p.Metric("converge_ms").Mean
+		if c <= 0 || c > 100 {
+			t.Fatalf("%s: convergence %0.2fms out of envelope", p.Key(), c)
 		}
-		if i > 0 && p.ConvergeMs <= points[i-1].ConvergeMs {
-			t.Fatalf("convergence not monotone in segments: %+v", points)
+		if i > 0 && c <= rep.Points[i-1].Metric("converge_ms").Mean {
+			t.Fatalf("convergence not monotone in segments:\n%s", rep.Table())
 		}
 	}
-	if !strings.Contains(FormatFederation(points), "converge ms") {
-		t.Fatal("format incomplete")
+	if !strings.Contains(rep.Table(), "converge_ms") {
+		t.Fatal("table incomplete")
 	}
 }
 

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"canely"
@@ -130,62 +128,4 @@ func FederationSpec(base canely.Config, segCounts []int, nodesPer int, seeds cam
 			}, nil
 		},
 	}
-}
-
-// FederationPoint is one cell of the federation scaling sweep.
-type FederationPoint struct {
-	Segments int
-	// ConvergeMs/DetectMs are means over the seed sweep; the CI95 fields
-	// are the 95% confidence half-widths.
-	ConvergeMs, ConvergeCI95Ms float64
-	DetectMs, DetectCI95Ms     float64
-}
-
-// MeasureFederationSweep runs the federation scaling campaign and reduces
-// it to per-segment-count points.
-func MeasureFederationSweep(sub canely.Substrate, segCounts []int, nodesPer, trials int, seed int64) []FederationPoint {
-	if len(segCounts) == 0 {
-		segCounts = []int{4, 8, 16, 32}
-	}
-	if nodesPer <= 0 {
-		nodesPer = 4
-	}
-	if trials <= 0 {
-		trials = 1
-	}
-	base := canely.DefaultConfig()
-	base.Substrate = sub
-	spec := FederationSpec(base, segCounts, nodesPer, campaign.SeedRange{Base: seed, N: trials})
-	runner := campaign.Runner{}
-	runs, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: federation campaign: %v", err))
-	}
-	rep := campaign.Summarize(spec, runs)
-	out := make([]FederationPoint, 0, len(segCounts))
-	for i, p := range rep.Points {
-		pt := FederationPoint{Segments: segCounts[i]}
-		for _, m := range p.Metrics {
-			switch m.Name {
-			case "converge_ms":
-				pt.ConvergeMs, pt.ConvergeCI95Ms = m.Agg.Mean, m.Agg.CI95
-			case "detect_ms":
-				pt.DetectMs, pt.DetectCI95Ms = m.Agg.Mean, m.Agg.CI95
-			}
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
-// FormatFederation renders the sweep.
-func FormatFederation(points []FederationPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %12s %10s %12s %10s\n",
-		"segments", "converge ms", "±95% CI", "detect ms", "±95% CI")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%-10d %12.2f %10.3f %12.2f %10.3f\n",
-			p.Segments, p.ConvergeMs, p.ConvergeCI95Ms, p.DetectMs, p.DetectCI95Ms)
-	}
-	return sb.String()
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"canely"
@@ -202,20 +200,6 @@ func GossipComparisonSpec(base canely.Config, model GossipModel, sizes []int, se
 	}
 }
 
-// GossipComparisonPoint is one cluster size of the sweep: means and 95%
-// confidence half-widths for the three metrics, per protocol.
-type GossipComparisonPoint struct {
-	Nodes int
-
-	GossipDetectMs, GossipDetectCI95Ms float64
-	GossipFPPerNodeHour, GossipFPCI95  float64
-	GossipBWBitsPerSec, GossipBWCI95   float64
-
-	CANELyDetectMs, CANELyDetectCI95Ms float64
-	CANELyFPPerNodeHour, CANELyFPCI95  float64
-	CANELyBWBitsPerSec, CANELyBWCI95   float64
-}
-
 // DefaultGossipModel is the SWIM tuning the comparison sweeps: the
 // internal/gossip defaults over a 1% lossy datagram medium.
 func DefaultGossipModel() GossipModel {
@@ -229,61 +213,4 @@ func DefaultGossipModel() GossipModel {
 		},
 		Loss: 0.01,
 	}
-}
-
-// MeasureGossipComparison runs the comparison campaign and reduces it to
-// per-cluster-size points.
-func MeasureGossipComparison(sizes []int, trials int, seed int64) []GossipComparisonPoint {
-	if len(sizes) == 0 {
-		sizes = []int{10, 100, 1000, 10000}
-	}
-	if trials <= 0 {
-		trials = 1
-	}
-	spec := GossipComparisonSpec(canely.DefaultConfig(), DefaultGossipModel(), sizes,
-		campaign.SeedRange{Base: seed, N: trials})
-	runner := campaign.Runner{}
-	runs, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: gossip comparison campaign: %v", err))
-	}
-	rep := campaign.Summarize(spec, runs)
-	out := make([]GossipComparisonPoint, 0, len(sizes))
-	for i, p := range rep.Points {
-		pt := GossipComparisonPoint{Nodes: sizes[i]}
-		for _, m := range p.Metrics {
-			switch m.Name {
-			case "gossip_detect_ms":
-				pt.GossipDetectMs, pt.GossipDetectCI95Ms = m.Agg.Mean, m.Agg.CI95
-			case "gossip_fp_node_hr":
-				pt.GossipFPPerNodeHour, pt.GossipFPCI95 = m.Agg.Mean, m.Agg.CI95
-			case "gossip_bw_bps":
-				pt.GossipBWBitsPerSec, pt.GossipBWCI95 = m.Agg.Mean, m.Agg.CI95
-			case "canely_detect_ms":
-				pt.CANELyDetectMs, pt.CANELyDetectCI95Ms = m.Agg.Mean, m.Agg.CI95
-			case "canely_fp_node_hr":
-				pt.CANELyFPPerNodeHour, pt.CANELyFPCI95 = m.Agg.Mean, m.Agg.CI95
-			case "canely_bw_bps":
-				pt.CANELyBWBitsPerSec, pt.CANELyBWCI95 = m.Agg.Mean, m.Agg.CI95
-			}
-		}
-		out = append(out, pt)
-	}
-	return out
-}
-
-// FormatGossipComparison renders the sweep as a side-by-side table.
-func FormatGossipComparison(points []GossipComparisonPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-8s | %12s %12s %12s | %12s %12s %12s\n",
-		"nodes",
-		"canely ms", "fp/node/hr", "bw kbps",
-		"gossip ms", "fp/node/hr", "bw kbps")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%-8d | %5.1f ±%5.1f %12.2f %6.1f ±%3.1f | %5.1f ±%5.1f %12.2f %6.1f ±%3.1f\n",
-			p.Nodes,
-			p.CANELyDetectMs, p.CANELyDetectCI95Ms, p.CANELyFPPerNodeHour, p.CANELyBWBitsPerSec/1000, p.CANELyBWCI95/1000,
-			p.GossipDetectMs, p.GossipDetectCI95Ms, p.GossipFPPerNodeHour, p.GossipBWBitsPerSec/1000, p.GossipBWCI95/1000)
-	}
-	return sb.String()
 }

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
+	"canely"
+	"canely/internal/campaign"
 	"canely/internal/sim"
 )
 
@@ -14,57 +18,56 @@ import (
 // suspicions and lossy gossip makes some.
 func TestGossipComparisonShape(t *testing.T) {
 	sizes := []int{10, 100, 1000, 10000}
-	pts := MeasureGossipComparison(sizes, 20, 1)
-	if len(pts) != len(sizes) {
-		t.Fatalf("got %d points, want %d", len(pts), len(sizes))
+	rep := report(GossipComparisonSpec(canely.DefaultConfig(), DefaultGossipModel(), sizes,
+		campaign.SeedRange{Base: 1, N: 20}))
+	if len(rep.Points) != len(sizes) || rep.Failed != 0 {
+		t.Fatalf("got %d points (%d failed runs), want %d", len(rep.Points), rep.Failed, len(sizes))
 	}
-	for i, p := range pts {
-		if p.Nodes != sizes[i] {
-			t.Fatalf("point %d is for %d nodes, want %d", i, p.Nodes, sizes[i])
+	mean := func(p campaign.PointReport, metric string) float64 { return p.Metric(metric).Mean }
+	for i, p := range rep.Points {
+		if want := fmt.Sprintf("nodes=%d", sizes[i]); p.Key() != want {
+			t.Fatalf("point %d is %s, want %s", i, p.Key(), want)
 		}
 		for name, v := range map[string]float64{
-			"gossip detect":  p.GossipDetectMs,
-			"gossip bw":      p.GossipBWBitsPerSec,
-			"canely detect":  p.CANELyDetectMs,
-			"canely bw":      p.CANELyBWBitsPerSec,
-			"gossip detect±": p.GossipDetectCI95Ms,
-			"canely detect±": p.CANELyDetectCI95Ms,
+			"gossip detect":  mean(p, "gossip_detect_ms"),
+			"gossip bw":      mean(p, "gossip_bw_bps"),
+			"canely detect":  mean(p, "canely_detect_ms"),
+			"canely bw":      mean(p, "canely_bw_bps"),
+			"gossip detect±": p.Metric("gossip_detect_ms").CI95,
+			"canely detect±": p.Metric("canely_detect_ms").CI95,
 		} {
 			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("%d nodes: %s = %v, want positive finite", p.Nodes, name, v)
+				t.Errorf("%s: %s = %v, want positive finite", p.Key(), name, v)
 			}
 		}
-		if p.CANELyFPPerNodeHour != 0 {
-			t.Errorf("%d nodes: CANELy false positives %v, want 0", p.Nodes, p.CANELyFPPerNodeHour)
+		if fp := mean(p, "canely_fp_node_hr"); fp != 0 {
+			t.Errorf("%s: CANELy false positives %v, want 0", p.Key(), fp)
 		}
-		if p.GossipFPPerNodeHour <= 0 {
-			t.Errorf("%d nodes: lossy gossip reports no false suspicions", p.Nodes)
+		if mean(p, "gossip_fp_node_hr") <= 0 {
+			t.Errorf("%s: lossy gossip reports no false suspicions", p.Key())
 		}
 	}
-	small, large := pts[0], pts[len(pts)-1]
-	if large.CANELyDetectMs < 10*small.CANELyDetectMs {
-		t.Errorf("CANELy detection did not scale with N: %d nodes %.1fms, %d nodes %.1fms",
-			small.Nodes, small.CANELyDetectMs, large.Nodes, large.CANELyDetectMs)
+	small, large := rep.Points[0], rep.Points[len(rep.Points)-1]
+	if s, l := mean(small, "canely_detect_ms"), mean(large, "canely_detect_ms"); l < 10*s {
+		t.Errorf("CANELy detection did not scale with N: %s %.1fms, %s %.1fms", small.Key(), s, large.Key(), l)
 	}
-	if large.GossipDetectMs > 5*small.GossipDetectMs {
-		t.Errorf("gossip detection not near-flat: %d nodes %.1fms, %d nodes %.1fms",
-			small.Nodes, small.GossipDetectMs, large.Nodes, large.GossipDetectMs)
+	if s, l := mean(small, "gossip_detect_ms"), mean(large, "gossip_detect_ms"); l > 5*s {
+		t.Errorf("gossip detection not near-flat: %s %.1fms, %s %.1fms", small.Key(), s, large.Key(), l)
 	}
 	// CANELy per-node bandwidth grows with N until it saturates at the
 	// membership channel budget (half the 1 Mbit/s bus); gossip's stays put.
-	if large.CANELyBWBitsPerSec < 2*small.CANELyBWBitsPerSec {
-		t.Errorf("CANELy per-node bandwidth did not grow: %.0f vs %.0f bps",
-			small.CANELyBWBitsPerSec, large.CANELyBWBitsPerSec)
+	s, l := mean(small, "canely_bw_bps"), mean(large, "canely_bw_bps")
+	if l < 2*s {
+		t.Errorf("CANELy per-node bandwidth did not grow: %.0f vs %.0f bps", s, l)
 	}
-	if large.CANELyBWBitsPerSec > 500_000+1 {
-		t.Errorf("CANELy per-node bandwidth %0.f bps exceeds the channel budget", large.CANELyBWBitsPerSec)
+	if l > 500_000+1 {
+		t.Errorf("CANELy per-node bandwidth %0.f bps exceeds the channel budget", l)
 	}
-	if large.GossipBWBitsPerSec > 2*small.GossipBWBitsPerSec {
-		t.Errorf("gossip per-node bandwidth not flat: %.0f vs %.0f bps",
-			small.GossipBWBitsPerSec, large.GossipBWBitsPerSec)
+	if s, l := mean(small, "gossip_bw_bps"), mean(large, "gossip_bw_bps"); l > 2*s {
+		t.Errorf("gossip per-node bandwidth not flat: %.0f vs %.0f bps", s, l)
 	}
 
-	table := FormatGossipComparison(pts)
+	table := rep.Table()
 	if len(table) == 0 {
 		t.Fatal("empty table")
 	}
@@ -74,12 +77,16 @@ func TestGossipComparisonShape(t *testing.T) {
 // TestGossipComparisonDeterminism: the campaign contract — same sizes and
 // seeds, byte-identical aggregates regardless of scheduling.
 func TestGossipComparisonDeterminism(t *testing.T) {
-	a := MeasureGossipComparison([]int{10, 1000}, 10, 7)
-	b := MeasureGossipComparison([]int{10, 1000}, 10, 7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("point %d differs across identical runs:\n%+v\n%+v", i, a[i], b[i])
+	run := func() []byte {
+		b, err := report(GossipComparisonSpec(canely.DefaultConfig(), DefaultGossipModel(),
+			[]int{10, 1000}, campaign.SeedRange{Base: 7, N: 10})).JSON()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return b
+	}
+	if a, b := run(), run(); !bytes.Equal(a, b) {
+		t.Fatalf("report differs across identical runs:\n%s\n%s", a, b)
 	}
 }
 

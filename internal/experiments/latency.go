@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -86,11 +85,7 @@ func measureLatencyCampaign(scheme, label string, c LatencyConfig, bound time.Du
 			return map[string]float64{"detection_ms": float64(d) / 1e6}, nil
 		},
 	}
-	runner := campaign.Runner{Workers: c.Workers}
-	runs, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s campaign: %v", scheme, err))
-	}
+	runs := mustRun(spec, c.Workers)
 	for _, s := range samples {
 		if s.ok {
 			res.Measured.Add(s.at, s.d, label)
@@ -332,10 +327,7 @@ func MeasureLatencyBandwidthTradeoff(sub canely.Substrate, tbs []time.Duration, 
 			return map[string]float64{"detection_ms": float64(q.DetectionTime) / 1e6}, nil
 		},
 	}
-	runner := campaign.Runner{}
-	if _, err := runner.Run(context.Background(), spec); err != nil {
-		panic(fmt.Sprintf("experiments: tradeoff campaign: %v", err))
-	}
+	mustRun(spec, 0)
 	out := make([]TradeoffPoint, 0, len(tbs))
 	for pi, tb := range tbs {
 		var lat trace.Latencies

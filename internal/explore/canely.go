@@ -2,12 +2,9 @@ package explore
 
 import (
 	"fmt"
-	"unsafe"
 
 	"canely/internal/can"
 	"canely/internal/core"
-	"canely/internal/core/fd"
-	"canely/internal/core/membership"
 	"canely/internal/core/proto"
 	"canely/internal/replay"
 )
@@ -28,15 +25,6 @@ func (canely) joinEvent(can.NodeSet) proto.Event { return proto.Event{Kind: prot
 func (canely) clone(m proto.Machine) proto.Machine { return m.(*core.Node).Clone() }
 
 func (canely) restore(dst, src proto.Machine) { dst.(*core.Node).Restore(src.(*core.Node)) }
-
-// nodeBytes is the flat footprint of one node's protocol cores. The RHA
-// duplicate-counter maps are typically empty at checkpoint time and are
-// ignored.
-func (canely) nodeBytes() int {
-	return int(unsafe.Sizeof(core.Node{}) + unsafe.Sizeof(fd.FDA{}) +
-		unsafe.Sizeof(fd.Detector{}) + unsafe.Sizeof(membership.Protocol{}) +
-		unsafe.Sizeof(membership.RHA{}))
-}
 
 // checkSafety: a full member's view contains itself.
 func (canely) checkSafety(id can.NodeID, m proto.Machine) error {

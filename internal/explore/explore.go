@@ -10,13 +10,10 @@
 // branches carry that snapshot, so branch expansion resumes from the parent
 // state instead of the root. Snapshots are reference-counted — the last
 // sibling takes ownership of the checkpoint and mutates it in place, every
-// other sibling clones — and are subject to a configurable memory budget;
-// over budget (or at a sparser SnapshotEvery cadence) children fall back to
-// replaying the prefix from the nearest earlier checkpoint, or from the
-// root. Decision vectors are still recorded for every run, so a violating
-// schedule is re-executed from the root with capture enabled and replays
-// byte-for-byte through `canelysim -replay` regardless of how the violating
-// run itself was resumed.
+// other sibling clones. Decision vectors are still recorded for every run,
+// so a violating schedule is re-executed from the root with capture enabled
+// and replays byte-for-byte through `canelysim -replay` regardless of how
+// the violating run itself was resumed.
 //
 // The schedule tree is walked depth-first by a pool of workers over a
 // work-stealing frontier. Two reductions cut the tree (both optional, both
@@ -70,15 +67,6 @@ type Config struct {
 	// violations are identical either way (TestSnapshotSoundness pins
 	// this); only the work per run changes.
 	NoSnapshot bool
-	// SnapshotEvery captures a checkpoint at every k-th new branch
-	// decision of a run (<=1 means every one). Sparser cadences trade
-	// snapshot memory for partial prefix replay in the children.
-	SnapshotEvery int
-	// SnapBudget caps the live checkpoint memory in bytes; once the
-	// estimated footprint of outstanding snapshots exceeds it, runs stop
-	// capturing and children degrade to prefix replay until consumption
-	// frees room. 0 means unlimited.
-	SnapBudget int64
 }
 
 // Stats is a consistent-enough snapshot of the exploration counters (each
@@ -112,11 +100,8 @@ type Stats struct {
 	// resumptions avoided re-applying.
 	Resumed     uint64
 	ReplaySaved uint64
-	// Snapshots counts checkpoints captured; SnapBytes is the estimated
-	// footprint of the checkpoints currently alive (captured, not yet
-	// consumed by their last sibling).
+	// Snapshots counts checkpoints captured.
 	Snapshots uint64
-	SnapBytes int64
 }
 
 // Runs returns the total schedule runs started.
@@ -169,7 +154,6 @@ type Engine struct {
 	resumed        atomic.Uint64
 	replaySaved    atomic.Uint64
 	snapshots      atomic.Uint64
-	snapBytes      atomic.Int64
 
 	// noQuiesce disables the settle-phase quiescence shortcut; test-only,
 	// used to pin the shortcut's soundness against the full settle.
@@ -193,9 +177,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 1
 	}
 	e := &Engine{cfg: cfg, seed: maphash.MakeSeed()}
 	initial, err := NewSystem(&e.cfg.Scenario, nil)
@@ -222,7 +203,6 @@ func (e *Engine) Stats() Stats {
 		Resumed:        e.resumed.Load(),
 		ReplaySaved:    e.replaySaved.Load(),
 		Snapshots:      e.snapshots.Load(),
-		SnapBytes:      e.snapBytes.Load(),
 	}
 }
 
@@ -255,10 +235,10 @@ func (e *Engine) Run(ctx context.Context) (Result, error) {
 type item struct {
 	// vec is the decision vector selecting the branch.
 	vec []int
-	// snap, when non-nil, is a checkpoint of the parent run at decision
-	// snap.depth <= len(vec); the run restores it and replays only
-	// decisions snap.depth..len(vec)-1 instead of the whole prefix. nil
-	// means replay from the root.
+	// snap, when non-nil, is the checkpoint the parent run took at this
+	// item's branch decision (snap.depth == len(vec)-1); the run restores
+	// it and applies only that last choice instead of the whole prefix.
+	// nil means replay from the root.
 	snap *snapshot
 	// counts carries the parent's branch factors for decisions
 	// 0..snap.depth-1, seeding the resumed run's count record so children
@@ -280,7 +260,6 @@ type snapshot struct {
 	// capture time.
 	depth int
 	steps int
-	bytes int64
 	refs  atomic.Int32
 }
 
@@ -295,8 +274,7 @@ func (e *Engine) getSystem() *System {
 }
 
 // consume returns a System holding the checkpointed state, transferring or
-// copying per the ref-count protocol, and releases the checkpoint's memory
-// accounting when the last reference goes. Copies restore into recycled
+// copying per the ref-count protocol. Copies restore into recycled
 // storage; only the last sibling may mutate sn.sys in place, and only it
 // can observe refs==1, so a copy in progress (which decrements strictly
 // after it completes) never races the handoff.
@@ -304,7 +282,6 @@ func (e *Engine) consume(sn *snapshot) *System {
 	if sn.refs.CompareAndSwap(1, 0) {
 		sys := sn.sys
 		sn.sys = nil
-		e.snapBytes.Add(-sn.bytes)
 		return sys
 	}
 	sys := e.getSystem()
@@ -314,7 +291,6 @@ func (e *Engine) consume(sn *snapshot) *System {
 		// the original.
 		e.syspool.Put(sn.sys)
 		sn.sys = nil
-		e.snapBytes.Add(-sn.bytes)
 	}
 	return sys
 }
@@ -384,7 +360,7 @@ func (e *Engine) steal(self int) (item, bool) {
 }
 
 // explore runs the schedule selected by it and pushes the sibling branches
-// it discovers, handing each the checkpoint nearest its branch point.
+// it discovers, handing each the checkpoint taken at its branch point.
 func (e *Engine) explore(self int, it item) {
 	r := e.run(it, nil, e.cfg.Prune)
 
@@ -451,9 +427,9 @@ func (e *Engine) explore(self int, it item) {
 type runResult struct {
 	counts  []int // branching factor at each decision point (awake actions)
 	fullVec []int // the choices actually taken, decision by decision
-	// snaps[j] is the checkpoint children branching at decision
-	// len(it.vec)+j resume from (nil: root replay); parallel to the new
-	// suffix of counts.
+	// snaps[j] is the checkpoint taken at decision len(it.vec)+j, which
+	// the children branching there resume from (nil under NoSnapshot: root
+	// replay); parallel to the new suffix of counts.
 	snaps   []*snapshot
 	crashed bool
 	pruned  bool
@@ -507,8 +483,6 @@ func (e *Engine) run(it item, rec *replay.Log, prune bool) runResult {
 		defer func() { e.syspool.Put(s) }()
 	}
 	capture := rec == nil && !e.cfg.NoSnapshot
-	var curSnap *snapshot
-	newBranches := 0
 	h := &s.hash
 	h.SetSeed(e.seed)
 	defer func() { e.steps.Add(uint64(steps - base)) }()
@@ -582,26 +556,19 @@ func (e *Engine) run(it item, rec *replay.Log, prune bool) runResult {
 						return res
 					}
 				}
-				// Checkpoint this branch point for the sibling children,
-				// at the configured cadence and within the memory budget.
-				// Skipped captures degrade the children to replaying from
-				// curSnap (or the root) — never to wrong answers.
-				if capture && newBranches%e.cfg.SnapshotEvery == 0 &&
-					(e.cfg.SnapBudget == 0 || e.snapBytes.Load() < e.cfg.SnapBudget) {
+				// Checkpoint this branch point for the sibling children.
+				var sn *snapshot
+				if capture {
 					snapSys := e.getSystem()
 					snapSys.Restore(s)
 					snapSys.rec = nil
-					sn := &snapshot{sys: snapSys, depth: decision, steps: steps}
+					sn = &snapshot{sys: snapSys, depth: decision, steps: steps}
 					if len(sleep) > 0 {
 						sn.sleep = append([]actionID(nil), sleep...)
 					}
-					sn.bytes = int64(sn.sys.sizeBytes())
-					e.snapBytes.Add(sn.bytes)
 					e.snapshots.Add(1)
-					curSnap = sn
 				}
-				newBranches++
-				res.snaps = append(res.snaps, curSnap)
+				res.snaps = append(res.snaps, sn)
 			}
 			res.counts = append(res.counts, len(awake))
 			if decision < len(it.vec) {

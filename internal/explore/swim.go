@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"unsafe"
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
@@ -28,8 +27,6 @@ func (swim) joinEvent(bootstrap can.NodeSet) proto.Event {
 func (swim) clone(m proto.Machine) proto.Machine { return m.(*gossip.Core).Clone() }
 
 func (swim) restore(dst, src proto.Machine) { dst.(*gossip.Core).Restore(src.(*gossip.Core)) }
-
-func (swim) nodeBytes() int { return int(unsafe.Sizeof(gossip.Core{})) }
 
 // checkSafety asserts the gossip lattice invariants: a node never evicts
 // itself, suspects only members, and holds nobody both dead and member.

@@ -3,7 +3,6 @@ package explore
 import (
 	"hash/maphash"
 	"time"
-	"unsafe"
 
 	"canely/internal/can"
 	"canely/internal/core/proto"
@@ -26,10 +25,9 @@ type protocol interface {
 	// joinEvent is the integration request a joiner is stepped on at t=0.
 	joinEvent(bootstrap can.NodeSet) proto.Event
 	// clone deep-copies a node, restore overwrites dst with src's state in
-	// dst's storage, nodeBytes sizes one node for the snapshot budget.
+	// dst's storage.
 	clone(m proto.Machine) proto.Machine
 	restore(dst, src proto.Machine)
-	nodeBytes() int
 	// checkSafety is the per-step invariant of one live node; checkTerminal
 	// its end-of-schedule liveness and agreement check against the view the
 	// survivors must share.
@@ -583,17 +581,6 @@ func (s *System) Restore(src *System) {
 	s.entries = append(s.entries[:0], src.entries...)
 	copy(s.timers, src.timers)
 	copy(s.armedTimers, src.armedTimers)
-}
-
-// sizeBytes estimates the heap footprint of one Snapshot of this system:
-// flat struct sizes plus the backing arrays.
-func (s *System) sizeBytes() int {
-	return int(unsafe.Sizeof(*s)) +
-		len(s.nodes)*s.desc.nodeBytes() +
-		len(s.alive) +
-		len(s.entries)*int(unsafe.Sizeof(entry{})) +
-		len(s.timers)*int(unsafe.Sizeof([proto.NumTimers]sim.Time{})) +
-		len(s.armedTimers)
 }
 
 // checkSafety asserts the protocol's per-step invariant at every live node.

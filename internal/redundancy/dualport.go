@@ -1,3 +1,23 @@
+// Package redundancy implements the CANELy media redundancy scheme of [17]
+// ("A Columbus' egg idea for CAN media redundancy", FTCS-29) — the
+// mechanism behind the "media redundancy: yes" row of the paper's
+// Figure 11 and the footnote-4 assumption that medium partitions do not
+// partition the *network*.
+//
+// The egg: replicate the transmission medium and drive every replica
+// simultaneously from the same CAN controller. No protocol coordinates the
+// replicas — each receiver merely *selects* among its per-medium receive
+// lines, and a local media-selection unit masks a medium once it fails to
+// carry what its sibling carries. Because every frame travels on every
+// medium, masking is purely local: a partition, a stuck-at fault or a
+// babbling segment on one medium is transparent as long as one replica
+// still connects the nodes.
+//
+// DualPort is that selection unit at the controller interface, over two
+// simulated media. Its tests inject each single-medium fault class — cut,
+// stuck-dominant, stuck-recessive — on real buses and check the property
+// the paper relies on: no single-medium fault partitions a dual-media
+// network.
 package redundancy
 
 import (

@@ -445,6 +445,14 @@ func (p *Port) forward(m wire.Msg) {
 // request not confirmed before the outage is requeued at the (possibly
 // restarted) broker. Runs on the loop.
 func (p *Port) bind(conn net.Conn) {
+	select {
+	case <-p.m.closed:
+		// Close ran on the loop before this connection was bound and found
+		// nothing to sever: do it here, or the pump would read forever.
+		conn.Close()
+		return
+	default:
+	}
 	p.conn = conn
 	if p.m.cfg.OnStatus != nil {
 		p.m.cfg.OnStatus(true)
