@@ -21,7 +21,8 @@ import (
 type BrokerConfig struct {
 	// Rate is the emulated signalling rate; defaults to 1 Mbit/s. Lower
 	// rates stretch frame durations (a 125 kbit/s frame lasts ~1 ms),
-	// which is friendlier to the timer resolution of a non-real-time OS.
+	// which off Linux keeps frames above the 1 ms resolution of the
+	// loop's timer (DESIGN §10).
 	Rate can.BitRate
 	// WriteTimeout bounds one batched write to a client before the client
 	// is dropped (a wedged client must not stall its shard's writer).

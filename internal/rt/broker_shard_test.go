@@ -2,11 +2,13 @@ package rt
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -155,14 +157,29 @@ func TestSlowTapDroppedBoundedQueue(t *testing.T) {
 		}
 	}()
 
+	waitFor(t, 5*time.Second, "both taps and the sender to register", func() bool {
+		m := b.Metrics()
+		return m.Taps == 2 && m.Conns == 1
+	})
+
 	// Keep the port's transmit queue full of distinct-ID requests so the
 	// bus streams frames back-to-back at full rate; the unread tap's
 	// backlog then outgrows its socket buffer and the broker's queue
-	// bound in a few wall seconds.
+	// bound in a few wall seconds. The tap gauge falls only once the
+	// dropped connection's reader has exited.
 	deadline := time.Now().Add(60 * time.Second)
-	dropped := false
 	next := uint32(0)
-	for !dropped && time.Now().Before(deadline) {
+	for {
+		m := b.Metrics()
+		if m.Conns != 1 {
+			t.Fatalf("sender dropped while the slow tap backed up: %+v", m)
+		}
+		if m.Taps == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slow tap was never dropped: queue growth is not bounded (%+v)", m)
+		}
 		for i := 0; i < 256; i++ {
 			f := can.Frame{ID: 0x200 + next%(1<<20), DLC: 8}
 			next++
@@ -171,24 +188,19 @@ func TestSlowTapDroppedBoundedQueue(t *testing.T) {
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
-		m := b.Metrics()
-		dropped = m.Overflows+m.WriteErrors > 0
-	}
-	if !dropped {
-		t.Fatal("slow tap was never dropped: queue growth is not bounded")
-	}
-	if b.Metrics().Taps != 1 {
-		// The gauge may lag the counter by the reader-unregister hop.
-		time.Sleep(500 * time.Millisecond)
 	}
 
-	// The broker must have closed the slow tap's connection...
+	// The dropped tap must be the slow one: the broker closed its
+	// connection, so its backlog reads out and ends in EOF or a reset,
+	// not in the read deadline...
 	_ = slow.SetReadDeadline(time.Now().Add(10 * time.Second))
 	buf := make([]byte, 1<<16)
-	for {
-		if _, err := slow.Read(buf); err != nil {
-			break // EOF/reset: dropped, as required
-		}
+	var readErr error
+	for readErr == nil {
+		_, readErr = slow.Read(buf)
+	}
+	if !errors.Is(readErr, io.EOF) && !errors.Is(readErr, syscall.ECONNRESET) {
+		t.Fatalf("slow tap connection ended with %v, want EOF or reset (dropped)", readErr)
 	}
 	// ...while the healthy tap kept receiving frames.
 	if healthyFrames.Load() == 0 {

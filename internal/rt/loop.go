@@ -30,6 +30,7 @@
 package rt
 
 import (
+	"os"
 	"sync"
 	"time"
 
@@ -92,27 +93,18 @@ func (l *Loop) now() sim.Time { return sim.Time(time.Since(l.epoch)) }
 // until the earliest of the next deadline or injected work.
 func (l *Loop) Run() {
 	defer close(l.done)
-	// The timer is reused across iterations; the Stop/drain dance covers
-	// the fired-but-unread case of a previous round.
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	w := newWaker()
+	defer w.close()
 	for {
 		l.sched.RunUntil(l.now())
 
-		wait := time.Hour
 		if next := l.sched.NextDeadline(); next != sim.Never {
-			wait = time.Duration(next) - l.Elapsed()
-			if wait < 0 {
-				wait = 0
-			}
+			// An already-due deadline still needs a wake-up: arm(0) would
+			// disarm.
+			w.arm(max(time.Duration(next)-l.Elapsed(), time.Nanosecond))
+		} else {
+			w.arm(0)
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
 
 		select {
 		case fn := <-l.posts:
@@ -123,12 +115,86 @@ func (l *Loop) Run() {
 			l.sched.RunUntil(l.now())
 			fn()
 			l.drain()
-		case <-timer.C:
+		case <-w.c:
 		case <-l.stop:
 			l.drain()
 			return
 		}
 	}
+}
+
+// waker is the Loop's sleep source: arm(d) schedules one wake-up on c
+// after d (replacing any earlier one; d <= 0 disarms), and close releases
+// it. The portable source is a time.Timer, but the Go runtime's netpoller
+// rounds every sleep under 1 ms up to a whole millisecond, which would put
+// every event of a 1 Mbit/s bus (~120 µs per frame) on a 1 ms tick. Where
+// the kernel offers a timer descriptor (waker_linux.go), the runtime
+// poller watches that instead and one reader goroutine forwards each
+// expiry to c, so a wake-up lands within tens of µs of its deadline
+// without spinning.
+type waker struct {
+	c     <-chan time.Time // timer.C, or fed by read
+	timer *time.Timer      // nil while file is in use
+
+	file *os.File // timer descriptor, owned by the runtime poller
+	fd   int      // file's descriptor: re-arming via file.SyscallConn would allocate
+	done chan struct{}
+}
+
+func newWaker() *waker {
+	file, fd, err := openTimerFD()
+	if err != nil {
+		timer := time.NewTimer(time.Hour)
+		timer.Stop()
+		return &waker{c: timer.C, timer: timer}
+	}
+	c := make(chan time.Time, 1)
+	w := &waker{c: c, file: file, fd: fd, done: make(chan struct{})}
+	go w.read(c)
+	return w
+}
+
+func (w *waker) arm(d time.Duration) {
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	// Drop a wake-up left over from an earlier arm that the loop did not
+	// consume (it woke for a post instead).
+	select {
+	case <-w.c:
+	default:
+	}
+	switch {
+	case w.timer == nil:
+		setTimerFD(w.fd, d)
+	case d > 0:
+		w.timer.Reset(d)
+	}
+}
+
+// read forwards timer-descriptor expiries to c until the file is closed.
+// The send never blocks: a wake-up already pending covers this one.
+func (w *waker) read(c chan<- time.Time) {
+	defer close(w.done)
+	var count [8]byte // expirations since the last read
+	for {
+		if _, err := w.file.Read(count[:]); err != nil {
+			return
+		}
+		select {
+		case c <- time.Time{}:
+		default:
+		}
+	}
+}
+
+func (w *waker) close() {
+	if w.timer != nil {
+		w.timer.Stop()
+		return
+	}
+	w.file.Close() // unblocks read
+	<-w.done
 }
 
 // drain runs queued posts without blocking.

@@ -3,6 +3,8 @@ package rt
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,6 +43,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 func TestLoopPostCallClose(t *testing.T) {
+	before := runtime.NumGoroutine()
 	l := StartLoop()
 	var n atomic.Int32
 	l.Post(func() { n.Add(1) })
@@ -55,6 +58,10 @@ func TestLoopPostCallClose(t *testing.T) {
 	if l.Call(func() { n.Add(1) }) {
 		t.Fatal("Call after Close reported success")
 	}
+	// Close must take the loop's waker with it (its descriptor reader).
+	waitFor(t, 5*time.Second, "loop goroutines to exit after Close", func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }
 
 func TestLoopTimersFireOnWallClock(t *testing.T) {
@@ -76,6 +83,33 @@ func TestLoopTimersFireOnWallClock(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never fired")
+	}
+
+	// Sub-millisecond deadlines: 200 chained 200-µs timers, each armed once
+	// its predecessor has fired, so every one is a fresh 200-µs sleep. None
+	// may fire before its deadline, and the median lateness must stay well
+	// under the 1 ms tick a netpoller-rounded sleep would impose.
+	const chain, step = 200, 200 * time.Microsecond
+	late := make([]time.Duration, chain)
+	for i := range late {
+		l.Call(func() {
+			l.Scheduler().After(step, func() {
+				// The scheduler's clock reads the deadline while it fires.
+				fired <- l.Elapsed() - time.Duration(l.Scheduler().Now())
+			})
+		})
+		select {
+		case late[i] = <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timer %d of %d never fired", i, chain)
+		}
+	}
+	slices.Sort(late)
+	if late[0] < 0 {
+		t.Fatalf("a %v timer fired %v before its deadline", step, -late[0])
+	}
+	if med := late[chain/2]; med >= 500*time.Microsecond {
+		t.Fatalf("%v timers fire a median %v late (max %v), want < 500µs", step, med, late[chain-1])
 	}
 }
 

@@ -73,6 +73,47 @@ func TestStreamReadWrite(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformedRecords(t *testing.T) {
+	for name, rec := range malformedRecords() {
+		if _, err := Decode(rec); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// FuzzWireDecode: the broker decodes every record a client sends, so no
+// byte string may panic the reader, a truncated record must fail, and a
+// record Decode accepts must survive Encode → Decode unchanged.
+func FuzzWireDecode(f *testing.F) {
+	for _, m := range roundTripMsgs() {
+		var b [MsgSize]byte
+		m.Encode(&b)
+		f.Add(b[:])
+	}
+	for _, b := range malformedRecords() {
+		f.Add(b[:])
+	}
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		m, err := Read(bytes.NewReader(rec))
+		if err != nil {
+			return
+		}
+		if len(rec) < MsgSize {
+			t.Fatalf("read a message from a %d-byte record", len(rec))
+		}
+		var b [MsgSize]byte
+		m.Encode(&b)
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%+v re-encodes to a rejected record: %v", m, err)
+		}
+		if got != m {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, m)
+		}
+	})
+}
+
+// malformedRecords holds one record per rejection rule of Decode.
+func malformedRecords() map[string][MsgSize]byte {
 	cases := map[string][MsgSize]byte{}
 
 	var b [MsgSize]byte
@@ -124,9 +165,5 @@ func TestDecodeRejectsMalformedRecords(t *testing.T) {
 		return b
 	}()
 
-	for name, rec := range cases {
-		if _, err := Decode(rec); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
+	return cases
 }
