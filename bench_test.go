@@ -115,12 +115,12 @@ func BenchmarkFigure11Inaccessibility(b *testing.B) {
 // cell ("tens of ms") from simulation.
 func BenchmarkFigure11Membership(b *testing.B) {
 	b.ReportAllocs()
-	var mean time.Duration
+	var mean float64
 	for i := 0; i < b.N; i++ {
 		lat := experiments.MeasureMembershipLatency(5, int64(i+1))
 		mean = lat.Mean()
 	}
-	b.ReportMetric(float64(mean)/1e6, "virt-ms-mean")
+	b.ReportMetric(mean/1e6, "virt-ms-mean")
 }
 
 // BenchmarkRelatedWorkLatency reproduces the §6.6 comparison: CANELy in
@@ -136,11 +136,11 @@ func BenchmarkRelatedWorkLatency(b *testing.B) {
 	for _, r := range results {
 		switch r.Scheme {
 		case "CANELy":
-			b.ReportMetric(float64(r.Measured.Mean())/1e6, "canely-virt-ms")
+			b.ReportMetric(r.Measured.Mean()/1e6, "canely-virt-ms")
 		case "OSEK NM":
-			b.ReportMetric(float64(r.Measured.Mean())/1e6, "osek-virt-ms")
+			b.ReportMetric(r.Measured.Mean()/1e6, "osek-virt-ms")
 		case "CANopen guarding":
-			b.ReportMetric(float64(r.Measured.Mean())/1e6, "canopen-virt-ms")
+			b.ReportMetric(r.Measured.Mean()/1e6, "canopen-virt-ms")
 		}
 	}
 }

@@ -1,5 +1,11 @@
 // Command canelysim runs a CANELy scenario on the simulated bus and prints
-// the event trace, the final membership views and the bus statistics.
+// a per-kind count of its trace events, the final membership views and the
+// bus statistics. With -trace it first dumps every event, one per line: the
+// frames on the wire (tx-start, tx-ok, tx-err, tx-incons), crashes and
+// bus-off, and each node's protocol steps — life-signs (els), surveillance
+// expiry (fd-nty), failure-sign agreement (fda-nty), RHA (rha-start,
+// rha-end), join and leave requests and view changes. Only the bit-accurate
+// substrate traces.
 //
 // Scenario events are given as comma-separated "id@offset" items, e.g.
 //

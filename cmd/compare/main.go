@@ -27,7 +27,7 @@ func report(trials int, seed int64) string {
 
 	in := analysis.DefaultFigure11Inputs()
 	lat := experiments.MeasureMembershipLatency(trials, seed)
-	in.MembershipLatency = lat.Max()
+	in.MembershipLatency = time.Duration(lat.Max())
 	fmt.Fprint(&b, analysis.Figure11(in))
 	b.WriteString("\n")
 
@@ -38,7 +38,9 @@ func report(trials int, seed int64) string {
 	b.WriteString("CANELy (inaccessibility control bounds the retransmission burst):\n")
 	b.WriteString(analysis.CANELyInaccessibility().FormatScenarios())
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "Measured membership latency over %d crash trials: %v\n", trials, &lat)
+	fmt.Fprintf(&b, "Measured membership latency over %d crash trials: n=%d min=%v mean=%v p99=%v max=%v\n",
+		trials, lat.N(), time.Duration(lat.Min()), time.Duration(lat.Mean()),
+		time.Duration(lat.Percentile(99)), time.Duration(lat.Max()))
 
 	b.WriteString("\n")
 	b.WriteString("MCAN4 response-time analysis of the protocol traffic (after [20]),\n")

@@ -223,7 +223,7 @@ func (b *Bus) arbitrate() {
 	b.busy = true
 	b.current = &transmission{frame: frame, senders: senders, attempt: attempt}
 	bits := can.FrameBits(frame)
-	b.tr.Emit(trace.KindTxStart, -1, "%v senders=%v attempt=%d", frame, senders, attempt)
+	b.tr.Emit(trace.Event{Msg: trace.MsgTxStart, Node: -1, Frame: frame, Nodes: senders, N: attempt})
 	b.sched.After(b.rate.DurationOf(bits), b.complete)
 }
 
@@ -244,7 +244,7 @@ func (b *Bus) complete() {
 	switch {
 	case decision.Corrupt:
 		b.stats.recordError(tx.frame, frameBits, b.rate)
-		b.tr.Emit(trace.KindTxError, -1, "%v attempt=%d", tx.frame, tx.attempt)
+		b.tr.Emit(trace.Event{Msg: trace.MsgTxErr, Node: -1, Frame: tx.frame, N: tx.attempt})
 		b.bumpErrorCounters(tx.senders, receivers)
 		// The frame plus the error frame plus intermission occupy the wire;
 		// the request stays queued at every sender for retransmission.
@@ -254,7 +254,7 @@ func (b *Bus) complete() {
 		victims := decision.InconsistentVictims.Intersect(receivers)
 		accepted := receivers.Diff(victims)
 		b.stats.recordInconsistent(tx.frame, frameBits, b.rate)
-		b.tr.Emit(trace.KindTxIncons, -1, "%v victims=%v crash=%t", tx.frame, victims, decision.CrashSenders)
+		b.tr.Emit(trace.Event{Msg: trace.MsgTxIncons, Node: -1, Frame: tx.frame, Nodes: victims, Crash: decision.CrashSenders})
 		// Nodes past the last-but-one bit accept the frame; the victims
 		// signal an error the senders observe, so the senders treat the
 		// attempt as failed and keep the request queued.
@@ -269,7 +269,7 @@ func (b *Bus) complete() {
 
 	default:
 		b.stats.recordSuccess(tx.frame, frameBits, b.rate)
-		b.tr.Emit(trace.KindTxSuccess, -1, "%v senders=%v", tx.frame, tx.senders)
+		b.tr.Emit(trace.Event{Msg: trace.MsgTxOK, Node: -1, Frame: tx.frame, Nodes: tx.senders})
 		b.deliver(tx.frame, receivers, tx.senders)
 		for _, id := range tx.senders.IDs() {
 			p := b.ports[id]

@@ -192,7 +192,7 @@ func (p *Port) Crash() {
 	}
 	p.alive = false
 	p.queue = nil
-	p.bus.tr.Emit(trace.KindCrash, int(p.id), "node crashed")
+	p.bus.tr.Emit(trace.Event{Msg: trace.MsgNodeCrashed, Node: int(p.id)})
 }
 
 // dequeue removes the queued request matching a completed frame.
@@ -244,7 +244,7 @@ func (p *Port) refreshState() {
 		if p.state != BusOff {
 			p.state = BusOff
 			p.queue = nil
-			p.bus.tr.Emit(trace.KindBusOff, int(p.id), "tec=%d", p.tec)
+			p.bus.tr.Emit(trace.Event{Msg: trace.MsgBusOff, Node: int(p.id), N: p.tec})
 			if p.handler != nil {
 				p.handler.OnBusOff()
 			}

@@ -72,6 +72,19 @@ func (s *Sample) Quantile(q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
+// Percentile returns the p-th percentile (0 < p <= 100) by nearest rank:
+// the smallest observation with at least p% of the sample at or below it,
+// never an interpolation. 0 when empty.
+func (s *Sample) Percentile(p float64) float64 {
+	if len(s.vals) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), s.vals...)
+	sort.Float64s(sorted)
+	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
+}
+
 // quantileSorted interpolates the q-quantile of an ascending non-empty
 // slice.
 func quantileSorted(sorted []float64, q float64) float64 {

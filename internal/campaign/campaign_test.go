@@ -319,6 +319,21 @@ func TestSampleQuantiles(t *testing.T) {
 	if s.Quantile(0) != 10 || s.Quantile(1) != 40 {
 		t.Fatal("extreme quantiles must hit min/max")
 	}
+	if s.Quantile(-0.5) != 10 || s.Quantile(1.5) != 40 {
+		t.Fatal("out-of-range q must clamp")
+	}
+	// A large sample: p95/p99 sit between the neighbouring order statistics
+	// (R-7), while the nearest-rank percentile is always an observation.
+	var big Sample
+	for i := 1; i <= 100; i++ {
+		big.Add(float64(i))
+	}
+	if p95, p99 := big.Quantile(0.95), big.Quantile(0.99); math.Abs(p95-95.05) > 1e-9 || math.Abs(p99-99.01) > 1e-9 {
+		t.Fatalf("p95/p99 = %v/%v, want 95.05/99.01 (R-7)", p95, p99)
+	}
+	if big.Percentile(50) != 50 || big.Percentile(99) != 99 || big.Percentile(100) != 100 || empty.Percentile(99) != 0 {
+		t.Fatalf("nearest-rank p50/p99/p100 = %v/%v/%v", big.Percentile(50), big.Percentile(99), big.Percentile(100))
+	}
 	if math.Abs(s.CI95()-1.96*s.StdDev()/2) > 1e-12 {
 		t.Fatalf("ci95 = %v", s.CI95())
 	}

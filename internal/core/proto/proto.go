@@ -27,11 +27,10 @@
 // every delivery steps several cores at every node, so StepInto appends
 // into a caller-owned, reusable CommandBuf instead of returning a fresh
 // slice: once the buffer has grown to its high-water mark the loop
-// allocates nothing. Trace output follows the same discipline: cores emit
-// *lazy* trace commands (a TraceMsgID template plus operands already
-// inlined in the Command) instead of pre-formatted strings, and the text is
-// rendered by TraceText only when a trace sink is actually attached — a run
-// on the fast substrate formats nothing at all.
+// allocates nothing. Trace output follows the same discipline: a trace
+// command carries a trace.Msg plus operands inlined in the Command, never a
+// string, and the binding turns it into a trace.Event only when a trace is
+// attached. Text is rendered only when that trace is read.
 package proto
 
 import (
@@ -279,7 +278,7 @@ const (
 	CmdSetTimer
 	// CmdCancelTimer disarms the logical timer.
 	CmdCancelTimer
-	// CmdTrace emits a pre-formatted diagnostic trace event.
+	// CmdTrace emits a diagnostic trace event (TraceMsg and its operands).
 	CmdTrace
 	// CmdNotifyView is msh-can.nty: deliver a membership change (Active,
 	// Failed, Left) to the application.
@@ -383,18 +382,16 @@ type Command struct {
 	// Node is the argument of the inter-core request/notification kinds.
 	Node can.NodeID `json:"node,omitempty"`
 	// Active, Failed and Left carry a CmdNotifyView change. Active doubles
-	// as the old view of a TraceMsgViewChange trace command.
+	// as the old view of a view- or site-change trace command.
 	Active can.NodeSet `json:"active,omitempty"`
 	Failed can.NodeSet `json:"failed,omitempty"`
 	Left   bool        `json:"left,omitempty"`
-	// View is the agreed vector of CmdRHAEnd, and the NodeSet operand of
-	// the lazy trace templates.
+	// View is the agreed vector of CmdRHAEnd, and the new view or vector
+	// operand of a trace command.
 	View can.NodeSet `json:"rhaView,omitempty"`
-	// TraceKind classifies a CmdTrace event. TraceMsg selects the lazy
-	// message template (operands live in Node/Active/View); TraceText
-	// renders it on demand.
-	TraceKind trace.Kind `json:"traceKind,omitempty"`
-	TraceMsg  TraceMsgID `json:"traceMsg,omitempty"`
+	// TraceMsg is the message of a CmdTrace command; its operands live in
+	// Node, Active and View (see TraceEvent).
+	TraceMsg trace.Msg `json:"traceMsg,omitempty"`
 }
 
 // Payload returns the inlined data bytes.
@@ -419,7 +416,7 @@ func (c Command) String() string {
 	case CmdCancelTimer:
 		fmt.Fprintf(&sb, " %v", c.Timer)
 	case CmdTrace:
-		fmt.Fprintf(&sb, " %s %q", c.TraceKind, c.TraceText())
+		fmt.Fprintf(&sb, " %s %q", c.TraceMsg.Kind(), c.TraceEvent(-1).Text())
 	case CmdNotifyView:
 		fmt.Fprintf(&sb, " active=%v failed=%v left=%t", c.Active, c.Failed, c.Left)
 	case CmdFDARequest, CmdFDACancel, CmdFDAForget, CmdFDANty, CmdFDNty, CmdFDStart, CmdFDStop:
@@ -464,128 +461,63 @@ func SetTimer(id TimerID, d sim.Duration) Command {
 // CancelTimer disarms a logical timer.
 func CancelTimer(id TimerID) Command { return Command{Kind: CmdCancelTimer, Timer: id} }
 
-// TraceMsgID selects a lazy trace message template. A lazy trace command
-// carries the template id and its operands (Node, Active, View) instead of
-// a formatted string, so emitting one costs no allocation; the text is
-// rendered by TraceText only when a sink consumes it.
-type TraceMsgID uint8
-
-const (
-	// TraceMsgNone is the zero value: no template, the command is not a
-	// trace command.
-	TraceMsgNone TraceMsgID = iota
-	// TraceMsgELS renders "explicit life-sign".
-	TraceMsgELS
-	// TraceMsgTimerExpired renders "timer expired for <Node>".
-	TraceMsgTimerExpired
-	// TraceMsgNodeFailed renders "node <Node> failed".
-	TraceMsgNodeFailed
-	// TraceMsgJoinRequested renders "join requested".
-	TraceMsgJoinRequested
-	// TraceMsgJoinRetried renders "join retried".
-	TraceMsgJoinRetried
-	// TraceMsgLeaveRequested renders "leave requested".
-	TraceMsgLeaveRequested
-	// TraceMsgViewChange renders "view <Active> -> <View>".
-	TraceMsgViewChange
-	// TraceMsgRHAVector renders "rhv=<View>" (RHA start and end).
-	TraceMsgRHAVector
-	// TraceMsgFedDigest renders "digest s<Node> view=<View>".
-	TraceMsgFedDigest
-	// TraceMsgSegmentStale renders "segment s<Node> stale".
-	TraceMsgSegmentStale
-	// TraceMsgSiteChange renders "site <Active> -> <View>".
-	TraceMsgSiteChange
-)
-
-// TraceText renders the message of a CmdTrace command from its lazy
-// template. Only trace sinks call it — a run without one never formats.
-func (c Command) TraceText() string {
-	switch c.TraceMsg {
-	case TraceMsgELS:
-		return "explicit life-sign"
-	case TraceMsgTimerExpired:
-		return fmt.Sprintf("timer expired for %v", c.Node)
-	case TraceMsgNodeFailed:
-		return fmt.Sprintf("node %v failed", c.Node)
-	case TraceMsgJoinRequested:
-		return "join requested"
-	case TraceMsgJoinRetried:
-		return "join retried"
-	case TraceMsgLeaveRequested:
-		return "leave requested"
-	case TraceMsgViewChange:
-		return fmt.Sprintf("view %v -> %v", c.Active, c.View)
-	case TraceMsgRHAVector:
-		return fmt.Sprintf("rhv=%v", c.View)
-	case TraceMsgFedDigest:
-		return fmt.Sprintf("digest s%02d view=%v", int(c.Node), c.View)
-	case TraceMsgSegmentStale:
-		return fmt.Sprintf("segment s%02d stale", int(c.Node))
-	case TraceMsgSiteChange:
-		return fmt.Sprintf("site %v -> %v", c.Active, c.View)
-	}
-	return ""
+// TraceEvent returns a CmdTrace command's trace.Event as emitted by node:
+// its operands map onto the event's (Node → Subject, Active → Old, View →
+// New). The binding calls it only when a trace is attached.
+func (c Command) TraceEvent(node int) trace.Event {
+	return trace.Event{Node: node, Msg: c.TraceMsg, Subject: c.Node, Old: c.Active, New: c.View}
 }
 
 // TraceELS traces an explicit life-sign broadcast.
-func TraceELS() Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindELS, TraceMsg: TraceMsgELS}
-}
+func TraceELS() Command { return Command{Kind: CmdTrace, TraceMsg: trace.MsgELS} }
 
 // TraceTimerExpired traces a surveillance expiry for a remote node.
 func TraceTimerExpired(r can.NodeID) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindFDNotify, TraceMsg: TraceMsgTimerExpired, Node: r}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgTimerExpired, Node: r}
 }
 
 // TraceNodeFailed traces a consistent failure-sign agreement.
 func TraceNodeFailed(r can.NodeID) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindFDANotify, TraceMsg: TraceMsgNodeFailed, Node: r}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgNodeFailed, Node: r}
 }
 
 // TraceJoinRequested traces a local join request.
-func TraceJoinRequested() Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindJoinRequest, TraceMsg: TraceMsgJoinRequested}
-}
+func TraceJoinRequested() Command { return Command{Kind: CmdTrace, TraceMsg: trace.MsgJoinRequested} }
 
 // TraceJoinRetried traces a join retry after an unintegrated join wait.
-func TraceJoinRetried() Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindJoinRequest, TraceMsg: TraceMsgJoinRetried}
-}
+func TraceJoinRetried() Command { return Command{Kind: CmdTrace, TraceMsg: trace.MsgJoinRetried} }
 
 // TraceLeaveRequested traces a local leave request.
-func TraceLeaveRequested() Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindLeaveRequest, TraceMsg: TraceMsgLeaveRequested}
-}
+func TraceLeaveRequested() Command { return Command{Kind: CmdTrace, TraceMsg: trace.MsgLeaveRequested} }
 
 // TraceViewChange traces a membership view update old -> new.
 func TraceViewChange(old, now can.NodeSet) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindViewChange, TraceMsg: TraceMsgViewChange, Active: old, View: now}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgViewChange, Active: old, View: now}
 }
 
 // TraceRHAStart traces the initial vector of an RHA execution.
 func TraceRHAStart(rhv can.NodeSet) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindRHAStart, TraceMsg: TraceMsgRHAVector, View: rhv}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgRHAStart, View: rhv}
 }
 
 // TraceRHAEnd traces the agreed vector of a completed RHA execution.
 func TraceRHAEnd(rhv can.NodeSet) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindRHAEnd, TraceMsg: TraceMsgRHAVector, View: rhv}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgRHAEnd, View: rhv}
 }
 
 // TraceFedDigest traces a federation digest announcement for a segment.
 func TraceFedDigest(seg can.NodeID, view can.NodeSet) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindFedDigest, TraceMsg: TraceMsgFedDigest, Node: seg, View: view}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgFedDigest, Node: seg, View: view}
 }
 
 // TraceSegmentStale traces a staleness expiry for a remote segment.
 func TraceSegmentStale(seg can.NodeID) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindSiteChange, TraceMsg: TraceMsgSegmentStale, Node: seg}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgSegmentStale, Node: seg}
 }
 
 // TraceSiteChange traces a cross-segment site view update old -> new.
 func TraceSiteChange(old, now can.NodeSet) Command {
-	return Command{Kind: CmdTrace, TraceKind: trace.KindSiteChange, TraceMsg: TraceMsgSiteChange, Active: old, View: now}
+	return Command{Kind: CmdTrace, TraceMsg: trace.MsgSiteChange, Active: old, View: now}
 }
 
 // NotifySite delivers a cross-segment site view change.

@@ -71,8 +71,8 @@ func TestLatencyComparisonReproducesSection66(t *testing.T) {
 		if r.Measured.N() != cfg.Trials {
 			t.Fatalf("%s measured %d trials, want %d", r.Scheme, r.Measured.N(), cfg.Trials)
 		}
-		if r.Measured.Max() > r.Bound {
-			t.Fatalf("%s max %v exceeds model bound %v", r.Scheme, r.Measured.Max(), r.Bound)
+		if r.Measured.Max() > float64(r.Bound) {
+			t.Fatalf("%s max %v exceeds model bound %v", r.Scheme, time.Duration(r.Measured.Max()), r.Bound)
 		}
 	}
 	ely := byScheme["CANELy"].Measured
@@ -80,11 +80,11 @@ func TestLatencyComparisonReproducesSection66(t *testing.T) {
 	nmt := byScheme["CANopen guarding"].Measured
 	// The paper's headline: CANELy detects in tens of ms, OSEK in the
 	// order of a second — a 10x+ gap; guarding sits between.
-	if ely.Max() > 50*time.Millisecond {
-		t.Fatalf("CANELy max latency %v, want tens of ms", ely.Max())
+	if ely.Max() > float64(50*time.Millisecond) {
+		t.Fatalf("CANELy max latency %v, want tens of ms", time.Duration(ely.Max()))
 	}
-	if osek.Mean() < 100*time.Millisecond {
-		t.Fatalf("OSEK mean latency %v implausibly low", osek.Mean())
+	if osek.Mean() < float64(100*time.Millisecond) {
+		t.Fatalf("OSEK mean latency %v implausibly low", time.Duration(osek.Mean()))
 	}
 	if osek.Mean() < 10*ely.Mean() {
 		t.Fatalf("CANELy/OSEK gap too small: %v vs %v", ely.Mean(), osek.Mean())
@@ -98,8 +98,8 @@ func TestLatencyComparisonReproducesSection66(t *testing.T) {
 	}
 	// TTP's one-round detection with 1 ms slots sits in CANELy's class.
 	ttp := byScheme["TTP (TDMA model)"].Measured
-	if ttp.Max() > 20*time.Millisecond {
-		t.Fatalf("TTP latency %v, want about one TDMA round", ttp.Max())
+	if ttp.Max() > float64(20*time.Millisecond) {
+		t.Fatalf("TTP latency %v, want about one TDMA round", time.Duration(ttp.Max()))
 	}
 }
 
@@ -108,9 +108,9 @@ func TestMembershipLatencyTensOfMs(t *testing.T) {
 	if lat.N() != 5 {
 		t.Fatalf("trials = %d", lat.N())
 	}
-	if lat.Max() > 50*time.Millisecond || lat.Min() <= 0 {
+	if lat.Max() > float64(50*time.Millisecond) || lat.Min() <= 0 {
 		t.Fatalf("membership latency %v..%v outside the 'tens of ms' envelope",
-			lat.Min(), lat.Max())
+			time.Duration(lat.Min()), time.Duration(lat.Max()))
 	}
 }
 

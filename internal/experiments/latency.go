@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -13,19 +14,23 @@ import (
 	"canely/internal/can"
 	"canely/internal/canlayer"
 	"canely/internal/sim"
-	"canely/internal/trace"
 )
 
 // LatencyResult summarizes one scheme's measured detection latencies.
 type LatencyResult struct {
-	Scheme   string
-	Measured trace.Latencies
+	Scheme string
+	// Measured holds the crash-to-detection latencies in ns, in trial order.
+	Measured campaign.Sample
 	Bound    time.Duration
 	// Failed counts trials that never detected the crash (always 0 in the
 	// paper's operating envelope; campaigns record rather than panic).
 	Failed int
-	// CI95 is the half-width of the 95% confidence interval of the mean.
-	CI95 time.Duration
+}
+
+// p99 returns the interpolated 99th percentile of a latency Sample (ns),
+// rounded to the nanosecond.
+func p99(s *campaign.Sample) time.Duration {
+	return time.Duration(math.Round(s.Quantile(0.99)))
 }
 
 // LatencyConfig parameterizes the §6.6 related-work comparison (experiment
@@ -56,17 +61,16 @@ func DefaultLatencyConfig() LatencyConfig {
 }
 
 // latencyTrial is one scheme-specific seeded crash trial: it returns the
-// virtual detection instant and the crash-to-detection latency.
-type latencyTrial func(p campaign.Params) (at sim.Time, d time.Duration, err error)
+// crash-to-detection latency.
+type latencyTrial func(p campaign.Params) (time.Duration, error)
 
 // measureLatencyCampaign fans the trials of one scheme out over the
 // campaign worker pool and folds the detection samples back into a
 // LatencyResult in trial order, so the distribution is identical to the old
 // sequential loop regardless of the worker count.
-func measureLatencyCampaign(scheme, label string, c LatencyConfig, bound time.Duration, trial latencyTrial) LatencyResult {
+func measureLatencyCampaign(scheme string, c LatencyConfig, bound time.Duration, trial latencyTrial) LatencyResult {
 	res := LatencyResult{Scheme: scheme, Bound: bound}
 	type sample struct {
-		at sim.Time
 		d  time.Duration
 		ok bool
 	}
@@ -76,24 +80,23 @@ func measureLatencyCampaign(scheme, label string, c LatencyConfig, bound time.Du
 		Base:  c.CANELy,
 		Seeds: campaign.SeedRange{Base: c.Seed, N: c.Trials},
 		Run: func(p campaign.Params) (map[string]float64, error) {
-			at, d, err := trial(p)
+			d, err := trial(p)
 			if err != nil {
 				return nil, err
 			}
 			// Each run owns its slice element: parallel writes never alias.
-			samples[p.Index] = sample{at: at, d: d, ok: true}
+			samples[p.Index] = sample{d: d, ok: true}
 			return map[string]float64{"detection_ms": float64(d) / 1e6}, nil
 		},
 	}
-	runs := mustRun(spec, c.Workers)
+	mustRun(spec, c.Workers)
 	for _, s := range samples {
 		if s.ok {
-			res.Measured.Add(s.at, s.d, label)
+			res.Measured.Add(float64(s.d))
 		} else {
 			res.Failed++
 		}
 	}
-	res.CI95 = time.Duration(campaign.MergeMetric(runs, "detection_ms").CI95() * 1e6)
 	return res
 }
 
@@ -101,22 +104,22 @@ func measureLatencyCampaign(scheme, label string, c LatencyConfig, bound time.Du
 // CANELy failure detection + membership suite across Trials parallel
 // seeded runs.
 func MeasureCANELyLatency(c LatencyConfig) LatencyResult {
-	return measureLatencyCampaign("CANELy", "canely", c, c.CANELy.DetectionLatencyBound(),
-		func(p campaign.Params) (sim.Time, time.Duration, error) {
+	return measureLatencyCampaign("CANELy", c, c.CANELy.DetectionLatencyBound(),
+		func(p campaign.Params) (time.Duration, error) {
 			victim := canely.NodeID(p.Trial % (c.N - 1))
 			q := CrashTrial(p.Config, c.N, victim, time.Duration(p.Trial)*3*time.Millisecond)
 			if !q.Detected {
-				return 0, 0, fmt.Errorf("CANELy trial %d never detected the crash", p.Trial)
+				return 0, fmt.Errorf("CANELy trial %d never detected the crash", p.Trial)
 			}
-			return sim.Time(q.DetectedAt), q.DetectionTime, nil
+			return q.DetectionTime, nil
 		})
 }
 
 // MeasureOSEKLatency measures the same crash under the OSEK NM ring.
 func MeasureOSEKLatency(c LatencyConfig) LatencyResult {
 	model := analysis.RelatedWorkModel{N: c.N, OSEKTTyp: c.OSEK.TTyp, OSEKTMax: c.OSEK.TMax}
-	return measureLatencyCampaign("OSEK NM", "osek", c, model.OSEKLatency(),
-		func(p campaign.Params) (sim.Time, time.Duration, error) {
+	return measureLatencyCampaign("OSEK NM", c, model.OSEKLatency(),
+		func(p campaign.Params) (time.Duration, error) {
 			trial := p.Trial
 			sched := sim.NewScheduler()
 			b := bus.New(sched, bus.Config{})
@@ -149,9 +152,9 @@ func MeasureOSEKLatency(c LatencyConfig) LatencyResult {
 			ports[victim].Crash()
 			sched.RunUntil(crashAt.Add(2 * model.OSEKLatency()))
 			if detected == 0 {
-				return 0, 0, fmt.Errorf("OSEK trial %d never detected the crash", trial)
+				return 0, fmt.Errorf("OSEK trial %d never detected the crash", trial)
 			}
-			return detected, detected.Sub(crashAt), nil
+			return detected.Sub(crashAt), nil
 		})
 }
 
@@ -162,8 +165,8 @@ func MeasureCANopenLatency(c LatencyConfig) LatencyResult {
 		CANopenGuardTime:  c.NMT.GuardTime,
 		CANopenLifeFactor: c.NMT.LifeFactor,
 	}
-	return measureLatencyCampaign("CANopen guarding", "canopen", c, model.CANopenLatency(),
-		func(p campaign.Params) (sim.Time, time.Duration, error) {
+	return measureLatencyCampaign("CANopen guarding", c, model.CANopenLatency(),
+		func(p campaign.Params) (time.Duration, error) {
 			trial := p.Trial
 			sched := sim.NewScheduler()
 			b := bus.New(sched, bus.Config{})
@@ -193,9 +196,9 @@ func MeasureCANopenLatency(c LatencyConfig) LatencyResult {
 			ports[victim].Crash()
 			sched.RunUntil(crashAt.Add(3 * model.CANopenLatency()))
 			if detected == 0 {
-				return 0, 0, fmt.Errorf("CANopen trial %d never detected the crash", trial)
+				return 0, fmt.Errorf("CANopen trial %d never detected the crash", trial)
 			}
-			return detected, detected.Sub(crashAt), nil
+			return detected.Sub(crashAt), nil
 		})
 }
 
@@ -205,8 +208,8 @@ func MeasureCANopenLatency(c LatencyConfig) LatencyResult {
 func MeasureTTPLatency(c LatencyConfig, slot time.Duration) LatencyResult {
 	cfg := baselines.TTPConfig{Slot: slot}
 	bound := cfg.MembershipLatencyBound(c.N)
-	return measureLatencyCampaign("TTP (TDMA model)", "ttp", c, bound,
-		func(p campaign.Params) (sim.Time, time.Duration, error) {
+	return measureLatencyCampaign("TTP (TDMA model)", c, bound,
+		func(p campaign.Params) (time.Duration, error) {
 			trial := p.Trial
 			sched := sim.NewScheduler()
 			cluster, err := baselines.NewTTPCluster(sched, c.N, cfg)
@@ -226,9 +229,9 @@ func MeasureTTPLatency(c LatencyConfig, slot time.Duration) LatencyResult {
 			cluster.Crash(victim)
 			sched.RunUntil(crashAt.Add(3 * bound))
 			if detected == 0 {
-				return 0, 0, fmt.Errorf("TTP trial %d never detected the crash", trial)
+				return 0, fmt.Errorf("TTP trial %d never detected the crash", trial)
 			}
-			return detected, detected.Sub(crashAt), nil
+			return detected.Sub(crashAt), nil
 		})
 }
 
@@ -250,17 +253,18 @@ func FormatLatencies(results []LatencyResult) string {
 		"scheme", "n", "min", "mean", "p99", "max", "±95% CI", "model bound")
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	for _, r := range results {
+		m := &r.Measured
 		fmt.Fprintf(&sb, "%-20s %5d %10v %10v %10v %10v %10v %12v\n",
-			r.Scheme, r.Measured.N(), us(r.Measured.Min()), us(r.Measured.Mean()),
-			us(r.Measured.P99()), us(r.Measured.Max()), us(r.CI95), r.Bound)
+			r.Scheme, m.N(), us(time.Duration(m.Min())), us(time.Duration(m.Mean())),
+			us(p99(m)), us(time.Duration(m.Max())), us(time.Duration(m.CI95())), r.Bound)
 	}
 	return sb.String()
 }
 
 // MeasureMembershipLatency measures the Figure 11 "membership latency"
 // cell: crash to membership-change notification under the default
-// configuration, across trials. The paper reports "tens of ms".
-func MeasureMembershipLatency(trials int, seed int64) trace.Latencies {
+// configuration, across trials, in ns. The paper reports "tens of ms".
+func MeasureMembershipLatency(trials int, seed int64) campaign.Sample {
 	c := DefaultLatencyConfig()
 	c.Trials = trials
 	c.Seed = seed
@@ -296,7 +300,6 @@ func MeasureLatencyBandwidthTradeoff(sub canely.Substrate, tbs []time.Duration, 
 	base := canely.DefaultConfig()
 	base.Substrate = sub
 	type cell struct {
-		at  sim.Time
 		d   time.Duration
 		ok  bool
 		els float64
@@ -323,15 +326,14 @@ func MeasureLatencyBandwidthTradeoff(sub canely.Substrate, tbs []time.Duration, 
 			if !q.Detected {
 				return nil, fmt.Errorf("tb=%v trial %d never detected the crash", p.Config.Tb, p.Trial)
 			}
-			cells[p.Index] = cell{at: sim.Time(q.DetectedAt), d: q.DetectionTime, ok: true}
+			cells[p.Index] = cell{d: q.DetectionTime, ok: true}
 			return map[string]float64{"detection_ms": float64(q.DetectionTime) / 1e6}, nil
 		},
 	}
 	mustRun(spec, 0)
 	out := make([]TradeoffPoint, 0, len(tbs))
 	for pi, tb := range tbs {
-		var lat trace.Latencies
-		var ms campaign.Sample
+		var lat campaign.Sample
 		var els float64
 		for t := 0; t <= trials; t++ {
 			c := cells[pi*(trials+1)+t]
@@ -342,17 +344,16 @@ func MeasureLatencyBandwidthTradeoff(sub canely.Substrate, tbs []time.Duration, 
 				els = c.els
 				continue
 			}
-			lat.Add(c.at, c.d, "canely")
-			ms.Add(float64(c.d) / 1e6)
+			lat.Add(float64(c.d))
 		}
 		cfg := base
 		cfg.Tb = tb
 		out = append(out, TradeoffPoint{
 			Tb:             tb,
-			MeanLatency:    lat.Mean(),
-			P99Latency:     lat.P99(),
-			MaxLatency:     lat.Max(),
-			CI95:           time.Duration(ms.CI95() * 1e6),
+			MeanLatency:    time.Duration(lat.Mean()),
+			P99Latency:     p99(&lat),
+			MaxLatency:     time.Duration(lat.Max()),
+			CI95:           time.Duration(lat.CI95()),
 			Bound:          cfg.DetectionLatencyBound(),
 			ELSUtilization: els,
 		})

@@ -39,7 +39,6 @@ import (
 	"canely/internal/replay"
 	"canely/internal/sim"
 	"canely/internal/stack"
-	"canely/internal/trace"
 )
 
 // Filter decides whether a received frame crosses from one link to another.
@@ -72,8 +71,6 @@ type Config struct {
 	// Recorder, when non-nil, captures the federation core's event/command
 	// streams for deterministic re-execution (internal/replay).
 	Recorder *replay.Log
-	// Trace is the optional diagnostic sink.
-	Trace *trace.Trace
 }
 
 // route is one direction of a filter table entry.
@@ -159,7 +156,7 @@ func (g *Gateway) AddMemberLink(m stack.Medium, segment, localID can.NodeID, vie
 		return nil, fmt.Errorf("gateway: invalid segment id %d", segment)
 	}
 	l := &Link{g: g, segment: segment, view: view}
-	st, err := stack.New(g.sched, []stack.Medium{m}, localID, scfg, g.cfg.Trace, g.memberHooks(l, hooks))
+	st, err := stack.New(g.sched, []stack.Medium{m}, localID, scfg, nil, g.memberHooks(l, hooks))
 	if err != nil {
 		return nil, err
 	}
@@ -273,9 +270,6 @@ func (g *Gateway) Crash() {
 	g.annTimer.Stop()
 	g.scanEv.Cancel()
 	g.scanEv = sim.Event{}
-	if g.cfg.Trace != nil {
-		g.cfg.Trace.Emit(trace.KindCrash, int(g.cfg.ID), "gateway crash")
-	}
 }
 
 // memberHooks chains an optional user observer before the gateway's frame
@@ -400,10 +394,6 @@ func (g *Gateway) fedExec(cmds []proto.Command) {
 			case proto.TimerFedScan:
 				g.scanEv.Cancel()
 				g.scanEv = sim.Event{}
-			}
-		case proto.CmdTrace:
-			if g.cfg.Trace != nil {
-				g.cfg.Trace.Emit(c.TraceKind, int(g.cfg.ID), "%s", c.TraceText())
 			}
 		case proto.CmdNotifySite:
 			for _, fn := range g.onSite {

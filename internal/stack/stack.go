@@ -333,11 +333,8 @@ func (st *Stack) exec(cmds []proto.Command) {
 				st.rhaTimer.Stop()
 			}
 		case proto.CmdTrace:
-			// Formatting is lazy: TraceText renders the message template only
-			// when a sink is actually attached (the fast substrate runs with
-			// no trace, so steady-state campaign steps never format).
 			if st.tr != nil {
-				st.tr.Emit(c.TraceKind, int(st.id), "%s", c.TraceText())
+				st.tr.Emit(c.TraceEvent(int(st.id)))
 			}
 		case proto.CmdNotifyView:
 			ch := membership.Change{Active: c.Active, Failed: c.Failed, Left: c.Left}
@@ -427,7 +424,7 @@ func (st *Stack) ActiveMedium() int {
 // dependency.
 type siteView struct{ st *Stack }
 
-func (v siteView) View() can.NodeSet                    { return v.st.Msh.View() }
+func (v siteView) View() can.NodeSet                   { return v.st.Msh.View() }
 func (v siteView) OnChange(fn func(membership.Change)) { v.st.OnChange(fn) }
 
 // EnableGroups starts the process-group membership service: registrations

@@ -5,56 +5,46 @@ import (
 	"testing"
 	"time"
 
+	"canely/internal/can"
 	"canely/internal/sim"
 )
 
 func TestEmitAndFilter(t *testing.T) {
 	now := sim.Time(0)
 	tr := New(func() sim.Time { return now })
-	tr.Emit(KindCrash, 3, "boom")
+	tr.Emit(Event{Msg: MsgNodeCrashed, Node: 3})
 	now = sim.Time(5 * time.Millisecond)
-	tr.Emit(KindELS, 1, "sign %d", 7)
-	tr.Emit(KindCrash, 4, "boom2")
+	tr.Emit(Event{Msg: MsgTimerExpired, Node: 1, Subject: 7})
+	tr.Emit(Event{Msg: MsgNodeCrashed, Node: 4})
 
-	if got := tr.Count(KindCrash); got != 2 {
+	if got := tr.Count(MsgNodeCrashed); got != 2 {
 		t.Fatalf("crash count = %d", got)
 	}
-	ev := tr.Filter(KindELS)
-	if len(ev) != 1 || ev[0].At != sim.Time(5*time.Millisecond) || ev[0].Msg != "sign 7" {
-		t.Fatalf("filtered = %+v", ev)
-	}
-	if len(tr.Events()) != 3 {
+	ev := tr.Events()
+	if len(ev) != 3 {
 		t.Fatal("Events length wrong")
+	}
+	if ev[1].At != sim.Time(5*time.Millisecond) || ev[1].Text() != "timer expired for n07" {
+		t.Fatalf("event = %+v, text %q", ev[1], ev[1].Text())
 	}
 }
 
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
-	tr.Emit(KindCrash, 0, "x") // must not panic
-	if tr.Events() != nil || tr.Count(KindCrash) != 0 {
+	tr.Emit(Event{Msg: MsgNodeCrashed}) // must not panic
+	if tr.Events() != nil || tr.Count(MsgNodeCrashed) != 0 {
 		t.Fatal("nil trace should be empty")
 	}
-	tr.Subscribe(func(Event) {})
 	if tr.Summary() != "" {
 		t.Fatal("nil summary should be empty")
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	tr := New(nil)
-	var got []Event
-	tr.Subscribe(func(e Event) { got = append(got, e) })
-	tr.Emit(KindELS, 2, "x")
-	if len(got) != 1 || got[0].Node != 2 {
-		t.Fatalf("sink got %+v", got)
-	}
-}
-
 func TestDumpAndSummary(t *testing.T) {
 	tr := New(nil)
-	tr.Emit(KindELS, 1, "a")
-	tr.Emit(KindELS, 2, "b")
-	tr.Emit(KindCrash, -1, "c")
+	tr.Emit(Event{Msg: MsgELS, Node: 1})
+	tr.Emit(Event{Msg: MsgELS, Node: 2})
+	tr.Emit(Event{Msg: MsgNodeCrashed, Node: -1})
 	var sb strings.Builder
 	tr.Dump(&sb)
 	if n := strings.Count(sb.String(), "\n"); n != 3 {
@@ -63,90 +53,47 @@ func TestDumpAndSummary(t *testing.T) {
 	if !strings.Contains(sb.String(), "bus") {
 		t.Fatal("node -1 should render as bus")
 	}
-	sum := tr.Summary()
-	if !strings.Contains(sum, "els") || !strings.Contains(sum, "2") {
-		t.Fatalf("summary = %q", sum)
+	if sum, want := tr.Summary(), "crash        1\nels          2\n"; sum != want {
+		t.Fatalf("summary = %q, want %q", sum, want)
 	}
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{At: sim.Time(time.Millisecond), Kind: KindELS, Node: 7, Msg: "hi"}
-	s := e.String()
-	if !strings.Contains(s, "n07") || !strings.Contains(s, "hi") || !strings.Contains(s, "1ms") {
+	f := can.Frame{ID: can.ELSSign(3).Encode(), RTR: true}
+	e := Event{At: sim.Time(time.Millisecond), Msg: MsgTxStart, Node: -1, Frame: f, Nodes: can.EmptySet.Add(3), N: 2}
+	want := "         1ms tx-start   bus  " + f.String() + " senders={n03} attempt=2"
+	if s := e.String(); s != want {
+		t.Fatalf("String = %q, want %q", s, want)
+	}
+	e = Event{Msg: MsgViewChange, Node: 7, Old: can.EmptySet.Add(1).Add(2), New: can.EmptySet.Add(2)}
+	if s := e.String(); !strings.HasSuffix(s, "view-change n07  view {n01,n02} -> {n02}") {
 		t.Fatalf("String = %q", s)
 	}
 }
 
-func TestLatencies(t *testing.T) {
-	var l Latencies
-	if l.Min() != 0 || l.Max() != 0 || l.Mean() != 0 || l.Percentile(50) != 0 {
-		t.Fatal("empty latencies should be zero")
-	}
-	for i := 1; i <= 100; i++ {
-		l.Add(0, time.Duration(i)*time.Millisecond, "s")
-	}
-	if l.N() != 100 {
-		t.Fatal("N wrong")
-	}
-	if l.Min() != time.Millisecond || l.Max() != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", l.Min(), l.Max())
-	}
-	if got := l.Mean(); got != 50500*time.Microsecond {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := l.Percentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := l.Percentile(99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := l.Percentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", got)
-	}
-	if !strings.Contains(l.String(), "n=100") {
-		t.Fatalf("String = %q", l.String())
-	}
-}
-
-func TestLatencyQuantilesEmptyAndSingle(t *testing.T) {
-	var l Latencies
-	if l.Quantile(0.5) != 0 || l.P50() != 0 || l.P95() != 0 || l.P99() != 0 {
-		t.Fatal("empty sample set must yield zero quantiles")
-	}
-	l.Add(0, 7*time.Millisecond, "only")
-	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if got := l.Quantile(q); got != 7*time.Millisecond {
-			t.Fatalf("one-sample quantile(%v) = %v, want 7ms", q, got)
+// TestEveryMsgRenders fails on a message added without its label or text.
+func TestEveryMsgRenders(t *testing.T) {
+	for m := MsgNone + 1; m < numMsgs; m++ {
+		if m.Kind() == "" || (Event{Msg: m}).Text() == "" {
+			t.Errorf("msg %d: kind %q, text %q", m, m.Kind(), Event{Msg: m}.Text())
 		}
 	}
+	if MsgNone.Kind() != "" || numMsgs.Kind() != "" {
+		t.Fatal("MsgNone and out-of-range messages must have no label")
+	}
 }
 
-func TestLatencyQuantileInterpolation(t *testing.T) {
-	var l Latencies
-	for _, ms := range []int{40, 10, 30, 20} { // insertion order must not matter
-		l.Add(0, time.Duration(ms)*time.Millisecond, "s")
+// TestEmitAllocFree pins that tracing formats nothing: once the event slice
+// has room, Emit is a copy.
+func TestEmitAllocFree(t *testing.T) {
+	now := sim.Time(0)
+	tr := New(func() sim.Time { return now })
+	e := Event{Msg: MsgTxIncons, Node: -1, Frame: can.Frame{ID: 1, DLC: 8}, Nodes: can.EmptySet.Add(2), Crash: true}
+	for i := 0; i < 200; i++ {
+		tr.Emit(e)
 	}
-	if got := l.P50(); got != 25*time.Millisecond {
-		t.Fatalf("p50 = %v, want interpolated 25ms", got)
-	}
-	if got := l.Quantile(0.25); got != 17500*time.Microsecond {
-		t.Fatalf("q25 = %v, want 17.5ms", got)
-	}
-	if l.Quantile(0) != 10*time.Millisecond || l.Quantile(1) != 40*time.Millisecond {
-		t.Fatal("extreme quantiles must hit min/max")
-	}
-	if l.Quantile(-0.5) != 10*time.Millisecond || l.Quantile(1.5) != 40*time.Millisecond {
-		t.Fatal("out-of-range q must clamp")
-	}
-	// A large sample: p95/p99 sit between the neighbouring order statistics.
-	var big Latencies
-	for i := 1; i <= 100; i++ {
-		big.Add(0, time.Duration(i)*time.Millisecond, "s")
-	}
-	if got := big.P95(); got != 95050*time.Microsecond {
-		t.Fatalf("p95 = %v, want 95.05ms (R-7)", got)
-	}
-	if got := big.P99(); got != 99010*time.Microsecond {
-		t.Fatalf("p99 = %v, want 99.01ms (R-7)", got)
+	tr.events = tr.events[:0]
+	if n := testing.AllocsPerRun(100, func() { now++; tr.Emit(e) }); n != 0 {
+		t.Fatalf("Emit allocated %v objects per call, want 0", n)
 	}
 }

@@ -19,18 +19,18 @@ func TestTraceShowsFullCrashPipeline(t *testing.T) {
 	net.Run(cfg.DetectionLatencyBound() + cfg.Tm)
 
 	tr := net.Trace()
-	if tr.Count(trace.KindCrash) != 1 {
-		t.Fatalf("crash events = %d", tr.Count(trace.KindCrash))
+	if tr.Count(trace.MsgNodeCrashed) != 1 {
+		t.Fatalf("crash events = %d", tr.Count(trace.MsgNodeCrashed))
 	}
-	if tr.Count(trace.KindELS) == 0 {
+	if tr.Count(trace.MsgELS) == 0 {
 		t.Fatal("no explicit life-signs emitted")
 	}
 	// The three survivors each deliver exactly one fda notification.
-	if got := tr.Count(trace.KindFDANotify); got != 3 {
+	if got := tr.Count(trace.MsgNodeFailed); got != 3 {
 		t.Fatalf("fda notifications = %d, want 3 (one per survivor)", got)
 	}
 	// Views changed at the three survivors.
-	if got := tr.Count(trace.KindViewChange); got != 3 {
+	if got := tr.Count(trace.MsgViewChange); got != 3 {
 		t.Fatalf("view changes = %d, want 3", got)
 	}
 }
