@@ -73,8 +73,8 @@ type (
 	GroupChange = groups.Change
 	// Substrate selects the simulation substrate (see Config.Substrate).
 	Substrate = stack.Substrate
-	// Hooks is the uniform layer-boundary observation and fault-injection
-	// surface of the per-node stack (see Config.Hooks).
+	// Hooks is the uniform layer-boundary observation surface of the
+	// per-node stack (see Config.Hooks).
 	Hooks = stack.Hooks
 )
 
@@ -136,8 +136,8 @@ type Config struct {
 	// decisions take precedence over stochastic ones.
 	Script Injector
 
-	// Hooks optionally observes (and perturbs) every node's stack at its
-	// layer boundaries: frame indications and confirmations entering the
+	// Hooks optionally observes every node's stack at its layer
+	// boundaries: frame indications and confirmations entering the
 	// standard layer, can-data.nty, fda-can.nty, fd-can.nty and membership
 	// view changes. The same Hooks value serves all nodes; callbacks carry
 	// the node identity. Substrate-independent — the equivalence tests are
@@ -157,10 +157,9 @@ type Config struct {
 	// DualMedia enables the CANELy media redundancy scheme ([17]): every
 	// node drives two replicated buses through a selection unit, so a
 	// single-medium partition or jam never partitions the network. Script
-	// and the stochastic injector apply to medium A; MediumBScript (if
-	// set) applies to medium B. Both media use Config.Substrate.
-	DualMedia     bool
-	MediumBScript Injector
+	// and the stochastic injector apply to medium A; medium B is fault-free.
+	// Both media use Config.Substrate.
+	DualMedia bool
 
 	// Scheduler, when non-nil, is Reset and reused as the network's event
 	// scheduler instead of allocating a fresh one. Campaign workers pool a
@@ -289,13 +288,7 @@ func NewNetwork(cfg Config, n int) *Network {
 		net.log = replay.New()
 	}
 	if cfg.DualMedia {
-		injB := fault.Injector(fault.None{})
-		if cfg.MediumBScript != nil {
-			injB = cfg.MediumBScript
-		}
-		net.mediumB = stack.NewMedium(sched, stack.MediumConfig{
-			Substrate: cfg.Substrate, Rate: cfg.Rate, Injector: injB,
-		})
+		net.mediumB = stack.NewMedium(sched, stack.MediumConfig{Substrate: cfg.Substrate, Rate: cfg.Rate})
 	}
 	for i := 0; i < n; i++ {
 		net.addNode(NodeID(i))

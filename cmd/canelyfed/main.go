@@ -36,37 +36,11 @@ import (
 	"canely/internal/stack"
 )
 
-// parseSet parses "0-4" or "0,1,2,3,4" (or a mix) into a NodeSet.
-func parseSet(spec string) (can.NodeSet, error) {
-	var s can.NodeSet
-	if spec == "" {
-		return s, nil
-	}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if lo, hi, ok := strings.Cut(item, "-"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || a > b {
-				return 0, fmt.Errorf("malformed range %q", item)
-			}
-			s |= can.RangeSet(can.NodeID(a), can.NodeID(b+1))
-			continue
-		}
-		id, err := strconv.Atoi(item)
-		if err != nil {
-			return 0, fmt.Errorf("malformed id %q", item)
-		}
-		s = s.Add(can.NodeID(id))
-	}
-	return s, nil
-}
-
 // parseViews parses semicolon-separated per-segment view specs.
 func parseViews(spec string) ([]can.NodeSet, error) {
 	var views []can.NodeSet
 	for _, chunk := range strings.Split(spec, ";") {
-		v, err := parseSet(chunk)
+		v, err := can.ParseSet(chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +114,7 @@ func main() {
 			segs = append(segs, can.NodeID(i))
 		}
 	}
-	siteView, err := parseSet(*site)
+	siteView, err := can.ParseSet(*site)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

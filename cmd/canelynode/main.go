@@ -23,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"canely/internal/can"
@@ -33,32 +31,6 @@ import (
 	"canely/internal/rt"
 	"canely/internal/stack"
 )
-
-// parseSet parses "0-4" or "0,1,2,3,4" (or a mix) into a NodeSet.
-func parseSet(spec string) (can.NodeSet, error) {
-	var s can.NodeSet
-	if spec == "" {
-		return s, nil
-	}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if lo, hi, ok := strings.Cut(item, "-"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || a > b {
-				return 0, fmt.Errorf("malformed range %q", item)
-			}
-			s |= can.RangeSet(can.NodeID(a), can.NodeID(b+1))
-			continue
-		}
-		id, err := strconv.Atoi(item)
-		if err != nil {
-			return 0, fmt.Errorf("malformed id %q", item)
-		}
-		s = s.Add(can.NodeID(id))
-	}
-	return s, nil
-}
 
 func main() {
 	var (
@@ -88,7 +60,7 @@ func main() {
 		}
 	}
 
-	view, err := parseSet(*boot)
+	view, err := can.ParseSet(*boot)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

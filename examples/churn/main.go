@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"canely"
+	"canely/internal/can"
 )
 
 const (
@@ -18,14 +19,8 @@ const (
 )
 
 func protocolUtilization(net *canely.Network, window canely.BusStats, span time.Duration) float64 {
-	bits := int64(0)
-	for typ, b := range window.BitsByType {
-		switch typ.String() {
-		case "FDA", "RHA", "JOIN", "LEAVE", "ELS":
-			bits += b
-		}
-	}
-	return float64(net.Rate().DurationOf(int(bits))) / float64(span)
+	return window.TypeUtilization(net.Rate(), span,
+		can.TypeFDA, can.TypeRHA, can.TypeJoin, can.TypeLeave, can.TypeELS)
 }
 
 func main() {

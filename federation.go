@@ -16,13 +16,12 @@ import (
 // federation: S independent segment buses, each running the full
 // single-segment protocol stack of this package, bridged by gateways over
 // one backbone bus that carries the hierarchical membership digests
-// (internal/federation) and whatever traffic the gateways' filter tables
-// admit.
+// (internal/federation).
 type FederationConfig struct {
 	// Node is the per-segment parameterization: substrate, bit rate and the
 	// protocol timing every node and every gateway member stack uses.
 	// Node.Script, stochastic injection and DualMedia are ignored here —
-	// federation faults are scripted through SegmentScript/BackboneScript.
+	// federation faults are scripted through BackboneScript.
 	Node Config
 
 	// Segments is the number of segments (1..32 with redundant gateways,
@@ -40,15 +39,7 @@ type FederationConfig struct {
 	// zero values default to 10ms / 40ms.
 	Tann   time.Duration
 	Tstale time.Duration
-	// Queue and Latency parameterize the gateways' store-and-forward stage.
-	Queue   int
-	Latency time.Duration
 
-	// SegmentScript optionally injects faults on every segment medium. The
-	// single (typically stateful) injector is shared across all segment
-	// media behind per-medium fault.Tag stamps, so rules scope to segments
-	// via Match.Segments.
-	SegmentScript Injector
 	// BackboneScript optionally injects faults on the backbone medium,
 	// behind fault.TagDigests: digest transmissions arrive tagged with the
 	// segment they summarize, so a Match.Segments rule partitions one
@@ -159,10 +150,7 @@ func NewFederation(cfg FederationConfig) *Federation {
 		gateways = 2
 	}
 	for s := 0; s < cfg.Segments; s++ {
-		m := stack.NewMedium(f.sched, stack.MediumConfig{
-			Substrate: cfg.Node.Substrate, Rate: cfg.Node.Rate,
-			Injector: fault.Tag{Segment: can.NodeID(s), Inner: cfg.SegmentScript},
-		})
+		m := stack.NewMedium(f.sched, stack.MediumConfig{Substrate: cfg.Node.Substrate, Rate: cfg.Node.Rate})
 		f.segMedia = append(f.segMedia, m)
 		hooks := cfg.Node.Hooks
 		if cfg.SegmentHooks != nil {
@@ -183,7 +171,7 @@ func NewFederation(cfg FederationConfig) *Federation {
 		for i := 0; i < gateways; i++ {
 			g, err := gateway.New(f.sched, gateway.Config{
 				ID: cfg.gatewayID(s, i), Tann: cfg.Tann, Tstale: cfg.Tstale,
-				Queue: cfg.Queue, Latency: cfg.Latency, Recorder: f.fedLog,
+				Recorder: f.fedLog,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("canely: %v", err))
@@ -192,10 +180,10 @@ func NewFederation(cfg FederationConfig) *Federation {
 			if i == 1 {
 				member = backupGatewayMember
 			}
-			if _, err := g.AddMemberLink(m, can.NodeID(s), member, view, scfg, hooks); err != nil {
+			if err := g.AddMemberLink(m, can.NodeID(s), member, view, scfg, hooks); err != nil {
 				panic(fmt.Sprintf("canely: %v", err))
 			}
-			if _, err := g.AddRawLink(f.backbone); err != nil {
+			if err := g.AddRawLink(f.backbone); err != nil {
 				panic(fmt.Sprintf("canely: %v", err))
 			}
 			gws = append(gws, g)
@@ -282,9 +270,6 @@ func (f *Federation) Gateways() []*gateway.Gateway {
 	}
 	return out
 }
-
-// SegmentNode returns one plain node's stack.
-func (f *Federation) SegmentNode(seg, node int) *stack.Stack { return f.nodes[seg][node] }
 
 // CrashSegment fail-silences every node and gateway of a segment — the
 // whole-segment crash fault of the federation experiments.

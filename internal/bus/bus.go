@@ -101,7 +101,6 @@ func New(sched *sim.Scheduler, cfg Config) *Bus {
 		inj:   cfg.Injector,
 		tr:    cfg.Trace,
 		ports: make(map[can.NodeID]*Port),
-		stats: newStats(),
 	}
 }
 
@@ -112,7 +111,7 @@ func (b *Bus) Rate() can.BitRate { return b.rate }
 func (b *Bus) Scheduler() *sim.Scheduler { return b.sched }
 
 // Stats returns a snapshot of the accumulated bus statistics.
-func (b *Bus) Stats() Stats { return b.stats.clone() }
+func (b *Bus) Stats() Stats { return b.stats }
 
 // Attach connects a new controller to the bus. Attaching the same node id
 // twice panics: node identity is a static configuration property.
@@ -243,7 +242,7 @@ func (b *Bus) complete() {
 	frameBits := can.FrameBits(tx.frame)
 	switch {
 	case decision.Corrupt:
-		b.stats.recordError(tx.frame, frameBits, b.rate)
+		b.stats.RecordError(tx.frame, frameBits, b.rate)
 		b.tr.Emit(trace.Event{Msg: trace.MsgTxErr, Node: -1, Frame: tx.frame, N: tx.attempt})
 		b.bumpErrorCounters(tx.senders, receivers)
 		// The frame plus the error frame plus intermission occupy the wire;
@@ -253,7 +252,7 @@ func (b *Bus) complete() {
 	case !decision.InconsistentVictims.Empty():
 		victims := decision.InconsistentVictims.Intersect(receivers)
 		accepted := receivers.Diff(victims)
-		b.stats.recordInconsistent(tx.frame, frameBits, b.rate)
+		b.stats.RecordInconsistent(tx.frame, frameBits)
 		b.tr.Emit(trace.Event{Msg: trace.MsgTxIncons, Node: -1, Frame: tx.frame, Nodes: victims, Crash: decision.CrashSenders})
 		// Nodes past the last-but-one bit accept the frame; the victims
 		// signal an error the senders observe, so the senders treat the
@@ -268,7 +267,7 @@ func (b *Bus) complete() {
 		b.finish(can.ErrorFrameMaxBits + can.InterframeBits)
 
 	default:
-		b.stats.recordSuccess(tx.frame, frameBits, b.rate)
+		b.stats.RecordSuccess(tx.frame, frameBits)
 		b.tr.Emit(trace.Event{Msg: trace.MsgTxOK, Node: -1, Frame: tx.frame, Nodes: tx.senders})
 		b.deliver(tx.frame, receivers, tx.senders)
 		for _, id := range tx.senders.IDs() {
@@ -348,7 +347,7 @@ func (b *Bus) finish(overheadBits int) {
 			p.suspendUntil = busFree.Add(b.rate.DurationOf(SuspendTransmissionBits))
 		}
 	}
-	b.stats.recordOverhead(overheadBits, b.rate)
+	b.stats.RecordOverhead(overheadBits, b.rate)
 	b.current = nil
 	b.sched.At(busFree, func() {
 		b.busy = false

@@ -2,15 +2,17 @@ package bus
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"canely/internal/can"
 )
 
-// Stats accumulates bus occupancy and outcome counters. Per-type bit
-// accounting is what the Figure 10 bandwidth measurement reduces.
+// Stats accumulates wire occupancy and outcome counters. Per-type bit
+// accounting is what the Figure 10 bandwidth measurement reduces. It is the
+// one accumulator of every simulated medium — internal/bus, internal/fastbus
+// and internal/datagram record into it through the Record methods — and a
+// plain value copy is a snapshot.
 type Stats struct {
 	// FramesOK counts successfully completed physical frames.
 	FramesOK int
@@ -23,8 +25,9 @@ type Stats struct {
 	// frames and interframe spaces.
 	BitsBusy int64
 	// BitsByType attributes frame bits (including their recovery overhead)
-	// to the CANELy message type that occupied the wire.
-	BitsByType map[can.MsgType]int64
+	// to the CANELy message type that occupied the wire; slot 0 collects
+	// frames whose identifier does not decode.
+	BitsByType [can.NumMsgTypes]int64
 	// ErrorBits is the wire time spent on error signalling and wasted
 	// (corrupted) frames — the raw material of inaccessibility.
 	ErrorBits int64
@@ -35,20 +38,8 @@ type Stats struct {
 	lastType can.MsgType
 }
 
-func newStats() Stats {
-	return Stats{BitsByType: make(map[can.MsgType]int64)}
-}
-
-func (s *Stats) clone() Stats {
-	out := *s
-	out.BitsByType = make(map[can.MsgType]int64, len(s.BitsByType))
-	for k, v := range s.BitsByType {
-		out.BitsByType[k] = v
-	}
-	return out
-}
-
-func (s *Stats) typeOf(f can.Frame) can.MsgType {
+// typeOf classifies a frame for the per-type accounting.
+func typeOf(f can.Frame) can.MsgType {
 	mid, err := can.DecodeMID(f.ID)
 	if err != nil {
 		return 0
@@ -56,32 +47,37 @@ func (s *Stats) typeOf(f can.Frame) can.MsgType {
 	return mid.Type
 }
 
-func (s *Stats) recordSuccess(f can.Frame, bits int, r can.BitRate) {
+// RecordSuccess accounts a successfully completed frame of the given length.
+func (s *Stats) RecordSuccess(f can.Frame, bits int) {
 	s.FramesOK++
 	s.BitsBusy += int64(bits)
-	s.lastType = s.typeOf(f)
+	s.lastType = typeOf(f)
 	s.BitsByType[s.lastType] += int64(bits)
 }
 
-func (s *Stats) recordError(f can.Frame, bits int, r can.BitRate) {
+// RecordError accounts a consistently corrupted frame: its bits are wasted
+// wire time.
+func (s *Stats) RecordError(f can.Frame, bits int, r can.BitRate) {
 	s.FramesError++
 	s.BitsBusy += int64(bits)
 	s.ErrorBits += int64(bits)
-	s.lastType = s.typeOf(f)
+	s.lastType = typeOf(f)
 	s.BitsByType[s.lastType] += int64(bits)
 	s.Inaccessibility += r.DurationOf(bits)
 }
 
-func (s *Stats) recordInconsistent(f can.Frame, bits int, r can.BitRate) {
+// RecordInconsistent accounts a frame hit in its last two bits.
+func (s *Stats) RecordInconsistent(f can.Frame, bits int) {
 	s.FramesInconsistent++
 	s.BitsBusy += int64(bits)
-	s.lastType = s.typeOf(f)
+	s.lastType = typeOf(f)
 	s.BitsByType[s.lastType] += int64(bits)
 }
 
-// recordOverhead accounts trailing wire occupancy (interframe space, error
-// frame bits) against the type of the frame that caused it.
-func (s *Stats) recordOverhead(bits int, r can.BitRate) {
+// RecordOverhead accounts trailing wire occupancy against the type of the
+// last recorded frame; bits beyond the interframe space are error
+// signalling and count toward inaccessibility.
+func (s *Stats) RecordOverhead(bits int, r can.BitRate) {
 	s.BitsBusy += int64(bits)
 	s.BitsByType[s.lastType] += int64(bits)
 	if bits > can.InterframeBits {
@@ -93,17 +89,16 @@ func (s *Stats) recordOverhead(bits int, r can.BitRate) {
 
 // Sub returns the difference s - earlier, for windowed measurements.
 func (s Stats) Sub(earlier Stats) Stats {
-	out := s.clone()
-	out.FramesOK -= earlier.FramesOK
-	out.FramesError -= earlier.FramesError
-	out.FramesInconsistent -= earlier.FramesInconsistent
-	out.BitsBusy -= earlier.BitsBusy
-	out.ErrorBits -= earlier.ErrorBits
-	out.Inaccessibility -= earlier.Inaccessibility
-	for k, v := range earlier.BitsByType {
-		out.BitsByType[k] -= v
+	s.FramesOK -= earlier.FramesOK
+	s.FramesError -= earlier.FramesError
+	s.FramesInconsistent -= earlier.FramesInconsistent
+	s.BitsBusy -= earlier.BitsBusy
+	s.ErrorBits -= earlier.ErrorBits
+	s.Inaccessibility -= earlier.Inaccessibility
+	for t, v := range earlier.BitsByType {
+		s.BitsByType[t] -= v
 	}
-	return out
+	return s
 }
 
 // Utilization returns the fraction of the elapsed interval the bus was
@@ -128,18 +123,16 @@ func (s Stats) TypeUtilization(r can.BitRate, elapsed time.Duration, types ...ca
 	return float64(r.DurationOf(int(bits))) / float64(elapsed)
 }
 
-// String renders a compact multi-line summary.
+// String renders a compact multi-line summary: the totals, then every
+// message type that occupied the wire, in type order.
 func (s Stats) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "frames ok=%d err=%d incons=%d busy=%d bits (err=%d) inaccess=%v\n",
 		s.FramesOK, s.FramesError, s.FramesInconsistent, s.BitsBusy, s.ErrorBits, s.Inaccessibility)
-	types := make([]int, 0, len(s.BitsByType))
-	for t := range s.BitsByType {
-		types = append(types, int(t))
-	}
-	sort.Ints(types)
-	for _, t := range types {
-		fmt.Fprintf(&sb, "  %-6v %d bits\n", can.MsgType(t), s.BitsByType[can.MsgType(t)])
+	for t, bits := range s.BitsByType {
+		if bits != 0 {
+			fmt.Fprintf(&sb, "  %-6v %d bits\n", can.MsgType(t), bits)
+		}
 	}
 	return sb.String()
 }

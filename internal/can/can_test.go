@@ -419,3 +419,34 @@ func TestMIDValidateSrcRange(t *testing.T) {
 		t.Fatal("src out of range accepted")
 	}
 }
+
+func TestParseSet(t *testing.T) {
+	cases := []struct {
+		spec string
+		want NodeSet
+	}{
+		{"", EmptySet},
+		{"0-4", RangeSet(0, 5)},
+		{"0,2,5", MakeSet(0, 2, 5)},
+		{"0-4,7", MakeSet(0, 1, 2, 3, 4, 7)},
+		{" 3 , 5 ", MakeSet(3, 5)},
+		{"63", MakeSet(63)},
+	}
+	for _, c := range cases {
+		got, err := ParseSet(c.spec)
+		if err != nil {
+			t.Fatalf("%q: %v", c.spec, err)
+		}
+		if got != c.want {
+			t.Fatalf("%q = %v, want %v", c.spec, got, c.want)
+		}
+	}
+}
+
+func TestParseSetErrors(t *testing.T) {
+	for _, spec := range []string{"x", "3-1", "0-", "-3", "1,,2", "64", "0-64"} {
+		if _, err := ParseSet(spec); err == nil {
+			t.Fatalf("spec %q accepted", spec)
+		}
+	}
+}

@@ -60,6 +60,10 @@ const (
 
 const maxMsgType = TypeGossip
 
+// NumMsgTypes sizes tables indexed by MsgType: every valid type, plus slot
+// 0 for identifiers that do not decode.
+const NumMsgTypes = int(maxMsgType) + 1
+
 // RelConfirmFlag marks the confirmation variant of a RELCAN reference.
 const RelConfirmFlag = 0x80
 

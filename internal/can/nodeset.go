@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -38,6 +39,37 @@ func RangeSet(lo, hi NodeID) NodeSet {
 		s = s.Add(id)
 	}
 	return s
+}
+
+// ParseSet parses a command-line node set: comma-separated ids and
+// inclusive ranges, e.g. "0-4,7". The empty string is the empty set.
+func ParseSet(spec string) (NodeSet, error) {
+	var s NodeSet
+	if spec == "" {
+		return s, nil
+	}
+	id := func(v string) (NodeID, bool) {
+		n, err := strconv.Atoi(v)
+		return NodeID(n), err == nil && n >= 0 && n < MaxNodes
+	}
+	for _, item := range strings.Split(spec, ",") {
+		item = strings.TrimSpace(item)
+		if lo, hi, ok := strings.Cut(item, "-"); ok {
+			a, okA := id(lo)
+			b, okB := id(hi)
+			if !okA || !okB || a > b {
+				return 0, fmt.Errorf("can: malformed range %q", item)
+			}
+			s |= RangeSet(a, b+1)
+			continue
+		}
+		n, ok := id(item)
+		if !ok {
+			return 0, fmt.Errorf("can: malformed id %q", item)
+		}
+		s = s.Add(n)
+	}
+	return s, nil
 }
 
 // Add returns the set with id included.

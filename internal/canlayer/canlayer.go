@@ -50,6 +50,11 @@ type Layer struct {
 	dataCnf []func(mid can.MID)
 	rtrCnf  []func(mid can.MID)
 	busOff  []func()
+
+	// rx is the payload storage data indications hand to consumers:
+	// slicing the indicated frame instead would move it to the heap on
+	// every indication.
+	rx [can.MaxData]byte
 }
 
 // New wraps a controller. The layer installs itself as its handler.
@@ -105,7 +110,9 @@ func (l *Layer) AbortReq(mid can.MID) bool {
 }
 
 // HandleDataInd registers a can-data.ind consumer (message arrival with
-// payload, own transmissions included).
+// payload, own transmissions included). The payload slice is layer-owned
+// storage, valid only until the consumer returns: a consumer that keeps
+// the data must copy it.
 func (l *Layer) HandleDataInd(fn func(mid can.MID, data []byte)) {
 	l.dataInd = append(l.dataInd, fn)
 }
@@ -161,8 +168,10 @@ func (h *handler) OnFrame(f can.Frame, own bool) {
 	for _, fn := range l.dataNty {
 		fn(mid)
 	}
+	l.rx = f.Data
+	data := l.rx[:f.DLC]
 	for _, fn := range l.dataInd {
-		fn(mid, f.Payload())
+		fn(mid, data)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package datagram is the third Medium substrate: a point-to-point, lossy
+// Package datagram is the gossip baseline's medium: a point-to-point, lossy
 // packet network with none of CAN's physical-layer guarantees. Where
 // internal/bus and internal/fastbus model a shared wire — arbitration,
 // wired-AND clustering, consistent frame completion — datagram models the
@@ -19,9 +19,11 @@
 //     the CANELy agreement argument rests on.
 //
 // Senders still observe CAN-shaped local semantics — mailbox transmit
-// requests, completion confirms, own-frame loopback — so the substrate
-// satisfies the stack.Medium/stack.Port contract and stacks bind to it
-// unchanged; what changes is only what the network promises.
+// requests, completion confirms, own-frame loopback — so the network
+// satisfies the stack.Medium/stack.Port contract (the stack package's
+// conformance suite runs against it); what changes is only what the
+// network promises. It is deliberately not a stack.NewMedium substrate:
+// CANELy's agreement argument needs the CAN properties it lacks.
 package datagram
 
 import (
@@ -87,7 +89,12 @@ type Net struct {
 
 	links map[uint16]*link
 
-	stats counters
+	// stats reads BitsBusy as aggregate serialized bits across all
+	// interfaces (there is no shared wire to occupy), FramesError as
+	// dropped copies and FramesInconsistent as duplicated copies — the
+	// closest analogue of "the wire disagreed with the sender" this
+	// substrate has.
+	stats bus.Stats
 }
 
 // link is the state of one ordered (from, to) pair: its distribution and
@@ -95,36 +102,6 @@ type Net struct {
 type link struct {
 	p   LinkParams
 	rng *sim.RNG
-}
-
-// counters accumulates network statistics in the flat-array style of
-// fastbus; the bus.Stats shape is synthesized on snapshot. BitsBusy reads
-// as aggregate serialized bits across all interfaces (there is no shared
-// wire to occupy), FramesError counts dropped copies, and
-// FramesInconsistent counts duplicated copies — the closest analogue of
-// "the wire disagreed with the sender" this substrate has.
-type counters struct {
-	framesOK   int
-	dropped    int
-	duplicated int
-	bitsBusy   int64
-	bitsByType [16]int64
-}
-
-func (c *counters) snapshot() bus.Stats {
-	s := bus.Stats{
-		FramesOK:           c.framesOK,
-		FramesError:        c.dropped,
-		FramesInconsistent: c.duplicated,
-		BitsBusy:           c.bitsBusy,
-		BitsByType:         make(map[can.MsgType]int64),
-	}
-	for t, v := range c.bitsByType {
-		if v != 0 {
-			s.BitsByType[can.MsgType(t)] = v
-		}
-	}
-	return s
 }
 
 // New builds a network on the given scheduler.
@@ -171,14 +148,14 @@ func (n *Net) Rate() can.BitRate { return n.rate }
 func (n *Net) AliveSet() can.NodeSet { return n.alive }
 
 // Stats returns a snapshot of the accumulated network statistics.
-func (n *Net) Stats() bus.Stats { return n.stats.snapshot() }
+func (n *Net) Stats() bus.Stats { return n.stats }
 
 // Elapsed returns the network's time base. Monotone: it reads the
 // scheduler clock, which never moves backwards.
 func (n *Net) Elapsed() time.Duration { return time.Duration(n.sched.Now()) }
 
 // Dropped returns the number of copies lost in transit.
-func (n *Net) Dropped() int { return n.stats.dropped }
+func (n *Net) Dropped() int { return n.stats.FramesError }
 
 // linkFor returns (lazily creating) the state of the ordered link.
 func (n *Net) linkFor(from, to can.NodeID) *link {
@@ -198,22 +175,10 @@ func (n *Net) linkFor(from, to can.NodeID) *link {
 	return l
 }
 
-// typeOf classifies a frame for the per-type statistics.
-func typeOf(f can.Frame) can.MsgType {
-	mid, err := can.DecodeMID(f.ID)
-	if err != nil {
-		return 0
-	}
-	return mid.Type
-}
-
 // transmit routes a serialized frame: unicast for gossip traffic, lossy
 // fan-out for everything else. Each copy samples its link independently.
 func (n *Net) transmit(from can.NodeID, f can.Frame) {
-	n.stats.framesOK++
-	bits := int64(can.FrameBits(f))
-	n.stats.bitsBusy += bits
-	n.stats.bitsByType[typeOf(f)] += bits
+	n.stats.RecordSuccess(f, can.FrameBits(f))
 	if mid, err := can.DecodeMID(f.ID); err == nil && mid.Type == can.TypeGossip {
 		n.deliver(from, can.GossipDest(mid), f)
 		return
@@ -233,12 +198,12 @@ func (n *Net) deliver(from, to can.NodeID, f can.Frame) {
 	}
 	l := n.linkFor(from, to)
 	if l.rng.Bool(l.p.Drop) {
-		n.stats.dropped++
+		n.stats.FramesError++
 		return
 	}
 	n.arrive(dst, f, l)
 	if l.rng.Bool(l.p.Duplicate) {
-		n.stats.duplicated++
+		n.stats.FramesInconsistent++
 		n.arrive(dst, f, l)
 	}
 }

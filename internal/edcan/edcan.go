@@ -76,7 +76,8 @@ func New(layer *canlayer.Layer, cfg Config) (*Broadcaster, error) {
 }
 
 // Deliver registers a message consumer. Messages are delivered exactly
-// once per (origin, ref), in reception order.
+// once per (origin, ref), in reception order. The data slice is the layer's
+// indication storage, valid only until the consumer returns.
 func (b *Broadcaster) Deliver(fn func(origin can.NodeID, ref uint8, data []byte)) {
 	b.deliver = append(b.deliver, fn)
 }

@@ -6,19 +6,18 @@
 // error-passive suspend-transmission penalty — resolved analytically per
 // physical frame, with none of the diagnostic machinery.
 //
-// Where internal/bus keeps a structured trace, per-message-type occupancy
-// maps and map-indexed ports, fastbus keeps dense arrays, plain counters and
-// zero per-frame allocations on the success path. A seeded simulation
+// Where internal/bus keeps a structured trace and map-indexed ports, fastbus
+// keeps dense arrays and zero per-frame allocations on the success path;
+// both record into the same bus.Stats accumulator. A seeded simulation
 // delivers the same frame sequence, drives the same fault-injector decision
 // stream and reaches the same controller and membership states on either
 // substrate (asserted by the equivalence suite in the root package); fastbus
 // is simply an order of magnitude cheaper per run, which is what Monte-Carlo
 // campaigns care about.
 //
-// The deliberate differences: no trace (diagnose on internal/bus), Stats()
-// is synthesized from counters on demand, and the per-frame overload /
-// error overhead arithmetic is shared via the exported internal/bus
-// constants rather than duplicated.
+// The deliberate differences: no trace (diagnose on internal/bus), and the
+// per-frame overload / error overhead arithmetic is shared via the exported
+// internal/bus constants rather than duplicated.
 package fastbus
 
 import (
@@ -81,7 +80,9 @@ type Bus struct {
 	// live brokers and traffic analyzers attach to.
 	observer func(f can.Frame)
 
-	stats counters
+	stats bus.Stats
+	// Batched-vs-stepped idle-gap advances (see Advances).
+	advBatched, advStepped uint64
 }
 
 // transmission is the frame currently on the wire.
@@ -118,16 +119,15 @@ func (b *Bus) Rate() can.BitRate { return b.rate }
 // Scheduler returns the simulation scheduler the bus runs on.
 func (b *Bus) Scheduler() *sim.Scheduler { return b.sched }
 
-// Stats synthesizes a bit-accurate-compatible statistics snapshot from the
-// counters.
-func (b *Bus) Stats() bus.Stats { return b.stats.snapshot() }
+// Stats returns a snapshot of the accumulated wire statistics.
+func (b *Bus) Stats() bus.Stats { return b.stats }
 
 // Advances reports how the bus stepped over post-frame wire-occupancy gaps:
 // batched gaps were skipped analytically (no scheduler event — the next
 // request re-arbitrates directly), stepped gaps needed one alarm at the
 // gap's end because transmit work was already waiting.
 func (b *Bus) Advances() (batched, stepped uint64) {
-	return b.stats.advBatched, b.stats.advStepped
+	return b.advBatched, b.advStepped
 }
 
 // SetObserver installs a bus-level tap that sees every physically delivered
@@ -298,7 +298,7 @@ func (b *Bus) complete() {
 	frameBits := can.FrameBits(tx.frame)
 	switch {
 	case decision.Corrupt:
-		b.stats.recordError(tx.frame, frameBits, b.rate)
+		b.stats.RecordError(tx.frame, frameBits, b.rate)
 		b.bumpErrorCounters(tx.senders, receivers)
 		// The frame plus the error frame plus intermission occupy the wire;
 		// the request stays queued at every sender for retransmission.
@@ -307,7 +307,7 @@ func (b *Bus) complete() {
 	case !decision.InconsistentVictims.Empty():
 		victims := decision.InconsistentVictims.Intersect(receivers)
 		accepted := receivers.Diff(victims)
-		b.stats.recordInconsistent(tx.frame, frameBits)
+		b.stats.RecordInconsistent(tx.frame, frameBits)
 		// Nodes past the last-but-one bit accept the frame; the victims
 		// signal an error the senders observe, so the senders treat the
 		// attempt as failed and keep the request queued.
@@ -323,7 +323,7 @@ func (b *Bus) complete() {
 		b.finish(can.ErrorFrameMaxBits + can.InterframeBits)
 
 	default:
-		b.stats.recordSuccess(tx.frame, frameBits)
+		b.stats.RecordSuccess(tx.frame, frameBits)
 		b.deliver(tx.frame, receivers, tx.senders)
 		for s := tx.senders; !s.Empty(); {
 			id := s.Lowest()
@@ -415,15 +415,15 @@ func (b *Bus) finish(overheadBits int) {
 			p.suspendUntil = busFree.Add(b.rate.DurationOf(bus.SuspendTransmissionBits))
 		}
 	}
-	b.stats.recordOverhead(overheadBits, b.rate)
+	b.stats.RecordOverhead(overheadBits, b.rate)
 	b.onWire = false
 	b.busy = false
 	b.busyUntil = busFree
 	b.kick()
 	if b.kickEv.Pending() {
-		b.stats.advStepped++
+		b.advStepped++
 	} else {
-		b.stats.advBatched++
+		b.advBatched++
 	}
 }
 

@@ -38,9 +38,9 @@ type TxContext struct {
 	Attempt int
 	// Segments identifies the federation segment(s) this transmission
 	// belongs to. The simulated media know nothing about segments, so the
-	// set is empty unless a Tag injector wraps the medium's injector; on a
-	// backbone medium, digest frames are additionally tagged with the
-	// segment they summarize (their mid param).
+	// set is empty unless a TagDigests injector wraps a backbone medium's
+	// injector and tags each digest with the segment it summarizes (its mid
+	// param).
 	Segments can.NodeSet
 }
 

@@ -273,29 +273,6 @@ func TestSegmentScopedMatch(t *testing.T) {
 	}
 }
 
-func TestTagScopesScriptToOneMedium(t *testing.T) {
-	// One stateful script shared across two segment media behind tags: the
-	// segment-1 rule must fire only for transmissions of segment 1.
-	script := NewScript(Rule{
-		Match:    Match{Type: AnyType, Param: AnyParam, Sender: AnySender, Segments: can.MakeSet(1)},
-		Decision: Decision{Corrupt: true},
-		Repeat:   true,
-	})
-	seg0 := Tag{Segment: 0, Inner: script}
-	seg1 := Tag{Segment: 1, Inner: script}
-	ctx := ctxAt(0, elsFrame(3), can.MakeSet(3), can.EmptySet, 1)
-	if d := seg0.Decide(ctx); !d.Clean() {
-		t.Fatal("segment-1 rule fired on segment 0")
-	}
-	if d := seg1.Decide(ctx); !d.Corrupt {
-		t.Fatal("segment-1 rule did not fire on segment 1")
-	}
-	// Tagging without an inner injector is a clean pass-through.
-	if d := (Tag{Segment: 5}).Decide(ctx); !d.Clean() {
-		t.Fatal("bare Tag injected")
-	}
-}
-
 func TestTagDigestsTargetsOneSegmentsDigests(t *testing.T) {
 	// The scripted segment-partition fault: on a backbone medium, corrupt
 	// every digest summarizing segment 2, touch nothing else.

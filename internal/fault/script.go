@@ -24,8 +24,8 @@ type Match struct {
 	// zero matches the first attempt onward.
 	MinAttempt int
 	// Segments restricts to transmissions tagged with at least one of these
-	// federation segments (see TxContext.Segments and Tag). The empty set —
-	// the zero value, so every pre-federation Match literal keeps its
+	// federation segments (see TxContext.Segments and TagDigests). The empty
+	// set — the zero value, so every pre-federation Match literal keeps its
 	// meaning — matches any transmission, tagged or not.
 	Segments can.NodeSet
 }

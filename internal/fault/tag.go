@@ -2,30 +2,6 @@ package fault
 
 import "canely/internal/can"
 
-// Tag wraps an injector, stamping every transmission of its medium with a
-// federation segment id before delegating. The simulated media know nothing
-// about segments, so the federation drivers install one Tag per segment
-// medium; segment-scoped rules (Match.Segments) then target everything a
-// segment transmits. A nil Inner tags without injecting, which lets one
-// stateful Script be shared across media behind per-medium tags.
-type Tag struct {
-	// Segment is the id stamped on every transmission of this medium.
-	Segment can.NodeID
-	// Inner decides the transmission after tagging; nil injects nothing.
-	Inner Injector
-}
-
-// Decide implements Injector.
-func (t Tag) Decide(ctx TxContext) Decision {
-	ctx.Segments = ctx.Segments.Add(t.Segment)
-	if t.Inner == nil {
-		return Decision{}
-	}
-	return t.Inner.Decide(ctx)
-}
-
-var _ Injector = Tag{}
-
 // TagDigests stamps federation digest transmissions with the segment they
 // summarize (the mid param of a TypeFed frame). Installed on a backbone
 // medium — which carries digests for many segments and belongs to none —

@@ -1,31 +1,27 @@
 // Package gateway implements the bridge node of a multi-segment CANELy
 // federation. A Gateway attaches to two or more stack.Medium instances —
 // simulated segments (bit or fast substrate), a backbone interconnect, or
-// live rt media — and plays two roles at once:
+// live rt media — and bridges membership, never frames:
 //
-//   - Frame bridging: per-direction filter tables decide which received
-//     frames cross from one link to another. Forwarded frames pass through
-//     a bounded store-and-forward queue with a configurable per-hop
-//     latency, like a real CAN gateway's mailbox; when the queue is full
-//     the frame is dropped (and counted). Nothing is forwarded by default:
-//     segment-local protocol traffic (life-signs, FDA, RHA, membership)
-//     never leaves its segment, which is what keeps per-segment CANELy
-//     membership sound in a federation.
+//   - on every segment medium (a member link) the gateway runs a full
+//     member stack, so segment membership observes the gateway like any
+//     other node and the gateway observes the segment's agreed view;
+//   - on every backbone medium (a raw link) it attaches a bare port that
+//     carries only federation digests.
 //
-//   - Hierarchical membership: on every segment medium the gateway runs a
-//     full member stack, so segment membership observes the gateway like
-//     any other node and the gateway observes the segment's agreed view.
-//     Those views feed the sans-I/O federation core
-//     (internal/federation), whose digests are transmitted on the raw
-//     (backbone) links; the core's site view is the gateway's answer to
-//     "which segments are alive".
+// The segment views feed the sans-I/O federation core
+// (internal/federation), whose digests are transmitted on the raw links;
+// the core's site view is the gateway's answer to "which segments are
+// alive". Segment-local protocol traffic (life-signs, FDA, RHA,
+// membership) never leaves its segment, which is what keeps per-segment
+// CANELy membership sound in a federation.
 //
 // The Gateway is scheduler-driven and sans-goroutine: over simulated media
 // it is deterministic and replayable (the federation core's streams record
 // into internal/replay); over rt media it runs on the loop exactly like a
 // live node. Faults arrive through internal/fault on the attached media —
-// segment-scoped rules (fault.Tag) partition whole segments, sender-scoped
-// rules on digests crash gateways — or directly via Crash.
+// rules on the backbone's digests (fault.TagDigests) partition whole
+// segments or crash gateways — or directly via Crash.
 package gateway
 
 import (
@@ -41,20 +37,6 @@ import (
 	"canely/internal/stack"
 )
 
-// Filter decides whether a received frame crosses from one link to another.
-type Filter func(f can.Frame) bool
-
-// ForwardAll is a Filter that bridges every frame.
-func ForwardAll(can.Frame) bool { return true }
-
-// ForwardType returns a Filter bridging only frames of one message type.
-func ForwardType(t can.MsgType) Filter {
-	return func(f can.Frame) bool {
-		mid, err := can.DecodeMID(f.ID)
-		return err == nil && mid.Type == t
-	}
-}
-
 // Config parameterizes a Gateway.
 type Config struct {
 	// ID is the federation-wide gateway identity: the source of digests,
@@ -64,47 +46,25 @@ type Config struct {
 	Tann time.Duration
 	// Tstale is the segment staleness bound (>= 4*Tann, federation.Config).
 	Tstale time.Duration
-	// Queue bounds the store-and-forward queue in frames; 0 means 32.
-	Queue int
-	// Latency is the per-frame forwarding delay through the queue.
-	Latency time.Duration
 	// Recorder, when non-nil, captures the federation core's event/command
 	// streams for deterministic re-execution (internal/replay).
 	Recorder *replay.Log
 }
 
-// route is one direction of a filter table entry.
-type route struct {
-	to    *Link
-	allow Filter
+// memberLink is the gateway's full member stack on one segment.
+type memberLink struct {
+	segment can.NodeID
+	member  *stack.Stack
+	view    can.NodeSet // bootstrap view
 }
 
-// Link is one gateway attachment: a member link (full stack on a segment)
-// or a raw link (bare port on a backbone).
-type Link struct {
-	g       *Gateway
-	segment can.NodeID   // member links only
-	member  *stack.Stack // nil on raw links
-	port    stack.Port   // transmit endpoint (raw attach, or the member stack's port)
-	view    can.NodeSet  // member bootstrap view
-	raw     bool
-	routes  []route
-}
-
-// Stack returns the member stack of a member link (nil on raw links).
-func (l *Link) Stack() *stack.Stack { return l.member }
-
-// Segment returns the segment id of a member link.
-func (l *Link) Segment() can.NodeID { return l.segment }
-
-// Gateway bridges frames and federates membership across its links.
+// Gateway federates membership across its links.
 type Gateway struct {
 	sched *sim.Scheduler
 	cfg   Config
 
-	links   []*Link
-	members []*Link
-	raws    []*Link
+	members []*memberLink
+	raws    []stack.Port // bare digest ports on the backbones
 
 	fed    *federation.Core
 	booted bool
@@ -117,24 +77,17 @@ type Gateway struct {
 	// onSite fans out fed-can.nty consumers in registration order.
 	onSite []func(active, failed can.NodeSet)
 
-	// Store-and-forward accounting.
-	queued  int
-	dropped int
-
 	crashed bool
 
 	// bufs is the fedStep command-buffer free-list (see stack.Stack.bufs).
 	bufs []*proto.CommandBuf
 }
 
-// New creates a gateway; attach links with AddMemberLink/AddRawLink, wire
-// filter tables with Forward, then Bootstrap.
+// New creates a gateway; attach links with AddMemberLink/AddRawLink, then
+// Bootstrap.
 func New(sched *sim.Scheduler, cfg Config) (*Gateway, error) {
 	if !cfg.ID.Valid() {
 		return nil, fmt.Errorf("gateway: invalid gateway id %d", cfg.ID)
-	}
-	if cfg.Queue == 0 {
-		cfg.Queue = 32
 	}
 	g := &Gateway{sched: sched, cfg: cfg}
 	g.annTimer = sim.NewTimer(sched, func() {
@@ -147,47 +100,35 @@ func New(sched *sim.Scheduler, cfg Config) (*Gateway, error) {
 // of that segment: localID is the gateway's node identity inside the
 // segment, view the segment's pre-agreed bootstrap view (which must include
 // localID), scfg the member stack parameterization and hooks an optional
-// observer chained before the gateway's own frame snooping.
-func (g *Gateway) AddMemberLink(m stack.Medium, segment, localID can.NodeID, view can.NodeSet, scfg stack.Config, hooks *stack.Hooks) (*Link, error) {
+// observer chained before the gateway's own digest snooping.
+func (g *Gateway) AddMemberLink(m stack.Medium, segment, localID can.NodeID, view can.NodeSet, scfg stack.Config, hooks *stack.Hooks) error {
 	if g.booted {
-		return nil, fmt.Errorf("gateway: links must be attached before Bootstrap")
+		return fmt.Errorf("gateway: links must be attached before Bootstrap")
 	}
 	if !segment.Valid() {
-		return nil, fmt.Errorf("gateway: invalid segment id %d", segment)
+		return fmt.Errorf("gateway: invalid segment id %d", segment)
 	}
-	l := &Link{g: g, segment: segment, view: view}
-	st, err := stack.New(g.sched, []stack.Medium{m}, localID, scfg, nil, g.memberHooks(l, hooks))
+	st, err := stack.New(g.sched, []stack.Medium{m}, localID, scfg, nil, g.memberHooks(hooks))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l.member = st
-	l.port = st.Ports[0]
 	st.OnChange(func(ch membership.Change) {
 		g.fedStep(proto.Event{Kind: proto.EvFedLocalView, Node: segment, View: ch.Active})
 	})
-	g.links = append(g.links, l)
-	g.members = append(g.members, l)
-	return l, nil
+	g.members = append(g.members, &memberLink{segment: segment, member: st, view: view})
+	return nil
 }
 
 // AddRawLink attaches the gateway to a backbone medium as a bare port: no
-// member stack, digests in and out, plus whatever the filter tables bridge.
-func (g *Gateway) AddRawLink(m stack.Medium) (*Link, error) {
+// member stack, digests in and out.
+func (g *Gateway) AddRawLink(m stack.Medium) error {
 	if g.booted {
-		return nil, fmt.Errorf("gateway: links must be attached before Bootstrap")
+		return fmt.Errorf("gateway: links must be attached before Bootstrap")
 	}
-	l := &Link{g: g, raw: true}
-	l.port = m.Attach(g.cfg.ID)
-	l.port.SetHandler(&rawHandler{g: g, l: l})
-	g.links = append(g.links, l)
-	g.raws = append(g.raws, l)
-	return l, nil
-}
-
-// Forward installs a filter table entry: frames received on from that pass
-// allow are queued for transmission on to.
-func (g *Gateway) Forward(from, to *Link, allow Filter) {
-	from.routes = append(from.routes, route{to: to, allow: allow})
+	p := m.Attach(g.cfg.ID)
+	p.SetHandler(rawHandler{g})
+	g.raws = append(g.raws, p)
+	return nil
 }
 
 // Bootstrap builds the federation core over the attached member segments,
@@ -248,14 +189,11 @@ func (g *Gateway) Members(seg can.NodeID) can.NodeSet {
 // ID returns the federation-wide gateway identity.
 func (g *Gateway) ID() can.NodeID { return g.cfg.ID }
 
-// Dropped returns the number of frames the store-and-forward queue refused.
-func (g *Gateway) Dropped() int { return g.dropped }
-
 // Alive reports whether the gateway has not crashed.
 func (g *Gateway) Alive() bool { return !g.crashed }
 
 // Crash fail-silences the gateway on every link: member stacks and raw
-// ports stop transmitting, timers stop, queued forwards are discarded.
+// ports stop transmitting, timers stop.
 func (g *Gateway) Crash() {
 	if g.crashed {
 		return
@@ -264,17 +202,17 @@ func (g *Gateway) Crash() {
 	for _, l := range g.members {
 		l.member.Crash()
 	}
-	for _, l := range g.raws {
-		l.port.Crash()
+	for _, p := range g.raws {
+		p.Crash()
 	}
 	g.annTimer.Stop()
 	g.scanEv.Cancel()
 	g.scanEv = sim.Event{}
 }
 
-// memberHooks chains an optional user observer before the gateway's frame
+// memberHooks chains an optional user observer before the gateway's digest
 // snooping on a member link.
-func (g *Gateway) memberHooks(l *Link, user *stack.Hooks) *stack.Hooks {
+func (g *Gateway) memberHooks(user *stack.Hooks) *stack.Hooks {
 	h := &stack.Hooks{}
 	if user != nil {
 		*h = *user
@@ -284,53 +222,27 @@ func (g *Gateway) memberHooks(l *Link, user *stack.Hooks) *stack.Hooks {
 		if userInd != nil {
 			userInd(node, f, own)
 		}
-		g.onLinkFrame(l, f, own)
+		g.onLinkFrame(f, own)
 	}
 	return h
 }
 
 // rawHandler adapts a raw link's port indications.
-type rawHandler struct {
-	g *Gateway
-	l *Link
-}
+type rawHandler struct{ g *Gateway }
 
-func (h *rawHandler) OnFrame(f can.Frame, own bool) { h.g.onLinkFrame(h.l, f, own) }
-func (h *rawHandler) OnConfirm(can.Frame)           {}
-func (h *rawHandler) OnBusOff()                     {}
+func (h rawHandler) OnFrame(f can.Frame, own bool) { h.g.onLinkFrame(f, own) }
+func (h rawHandler) OnConfirm(can.Frame)           {}
+func (h rawHandler) OnBusOff()                     {}
 
 // onLinkFrame is the shared reception path of every link: federation
-// digests feed the core, the filter tables decide what is bridged. Own
-// transmissions are skipped — a forwarded frame is transmitted by this
-// gateway on the target medium, so self-reception must not re-forward.
-func (g *Gateway) onLinkFrame(l *Link, f can.Frame, own bool) {
+// digests feed the core. Own transmissions are skipped.
+func (g *Gateway) onLinkFrame(f can.Frame, own bool) {
 	if own || g.crashed {
 		return
 	}
 	if mid, err := can.DecodeMID(f.ID); err == nil && mid.Type == can.TypeFed && !f.RTR {
 		g.fedStep(proto.Event{Kind: proto.EvDataInd, MID: mid}.WithPayload(f.Payload()))
 	}
-	for _, r := range l.routes {
-		if r.allow(f) {
-			g.enqueue(f, r.to)
-		}
-	}
-}
-
-// enqueue passes a frame through the bounded store-and-forward queue.
-func (g *Gateway) enqueue(f can.Frame, to *Link) {
-	if g.queued >= g.cfg.Queue {
-		g.dropped++
-		return
-	}
-	g.queued++
-	g.sched.After(g.cfg.Latency, func() {
-		g.queued--
-		if g.crashed {
-			return
-		}
-		_ = to.port.Request(f)
-	})
 }
 
 // fedStep pumps one event through the federation core, records it, and
@@ -371,8 +283,8 @@ func (g *Gateway) fedExec(cmds []proto.Command) {
 		case proto.CmdSendData:
 			f := can.Frame{ID: c.MID.Encode()}
 			f.SetPayload(c.Payload())
-			for _, l := range g.raws {
-				_ = l.port.Request(f)
+			for _, p := range g.raws {
+				_ = p.Request(f)
 			}
 		case proto.CmdSetTimer:
 			switch c.Timer {

@@ -49,9 +49,6 @@ import (
 type DualPort struct {
 	sched *sim.Scheduler
 	ports [2]Port
-	// Grace is how long a standby delivery waits for the active medium to
-	// match before triggering failover (default: one worst-case frame).
-	grace time.Duration
 
 	handler bus.Handler
 	active  int
@@ -90,19 +87,19 @@ type Port interface {
 
 var _ Port = (*bus.Port)(nil)
 
+// grace is how long a standby delivery waits for the active medium to
+// match before triggering failover: one worst-case frame.
+const grace = 200 * time.Microsecond
+
 // NewDualPort attaches the node to both media. The two ports must carry
 // the same node identity.
-func NewDualPort(sched *sim.Scheduler, a, b Port, grace time.Duration) *DualPort {
+func NewDualPort(sched *sim.Scheduler, a, b Port) *DualPort {
 	if a.ID() != b.ID() {
 		panic(fmt.Sprintf("redundancy: port identities differ: %v vs %v", a.ID(), b.ID()))
-	}
-	if grace <= 0 {
-		grace = 200 * time.Microsecond
 	}
 	d := &DualPort{
 		sched:   sched,
 		ports:   [2]Port{a, b},
-		grace:   grace,
 		waiting: make(map[frameKey]sim.Event),
 	}
 	d.recent[0] = make(map[frameKey][]sim.Time)
@@ -208,7 +205,7 @@ func (d *DualPort) onEvent(medium int, f can.Frame, own, cnf bool) {
 		return
 	}
 	fCopy, ownCopy, cnfCopy := f, own, cnf
-	d.waiting[key] = d.sched.After(d.grace, func() {
+	d.waiting[key] = d.sched.After(grace, func() {
 		delete(d.waiting, keyOf(fCopy, cnfCopy))
 		// The active medium never produced the frame: it is failing.
 		d.failover(medium)
@@ -220,7 +217,7 @@ func (d *DualPort) onEvent(medium int, f can.Frame, own, cnf bool) {
 // within the grace window.
 func (d *DualPort) matchedRecently(medium int, key frameKey, now sim.Time) bool {
 	for _, at := range d.recent[medium][key] {
-		if now.Sub(at) <= d.grace {
+		if now.Sub(at) <= grace {
 			return true
 		}
 	}
@@ -232,7 +229,7 @@ func (d *DualPort) gc(medium int, key frameKey, now sim.Time) {
 	times := d.recent[medium][key]
 	keep := times[:0]
 	for _, at := range times {
-		if now.Sub(at) <= d.grace {
+		if now.Sub(at) <= grace {
 			keep = append(keep, at)
 		}
 	}

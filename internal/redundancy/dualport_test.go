@@ -33,7 +33,7 @@ func newDualRig(t *testing.T, n int, injA, injB fault.Injector) *dualRig {
 	for i := 0; i < n; i++ {
 		a := r.busA.Attach(can.NodeID(i))
 		b := r.busB.Attach(can.NodeID(i))
-		d := NewDualPort(s, a, b, 0)
+		d := NewDualPort(s, a, b)
 		r.duals = append(r.duals, d)
 		r.layers = append(r.layers, canlayer.New(d))
 	}
@@ -130,7 +130,7 @@ func TestDualPortRequiresMatchingIdentity(t *testing.T) {
 			t.Fatal("identity mismatch should panic")
 		}
 	}()
-	NewDualPort(s, a, b, 0)
+	NewDualPort(s, a, b)
 }
 
 func TestDualPortCrashSilencesBothMedia(t *testing.T) {

@@ -32,16 +32,11 @@ type GatewayConfig struct {
 	Stack stack.Config
 	// Tann and Tstale parameterize the federation layer.
 	Tann, Tstale time.Duration
-	// Queue and Latency parameterize the store-and-forward stage.
-	Queue   int
-	Latency time.Duration
 	// Rate, when non-zero, asserts the brokers' signalling rate.
 	Rate can.BitRate
 	// Record captures the federation core's event/command streams
 	// (EventLog).
 	Record bool
-	// Hooks optionally observes the member stacks' layer boundaries.
-	Hooks *stack.Hooks
 	// Dial tunes connection establishment; Addr, Rate and Role are
 	// overridden per connection.
 	Dial DialConfig
@@ -116,19 +111,18 @@ func StartGateway(cfg GatewayConfig) (*GatewayNode, error) {
 	var buildErr error
 	if !loop.Call(func() {
 		g.gw, buildErr = gateway.New(loop.Scheduler(), gateway.Config{
-			ID: cfg.ID, Tann: cfg.Tann, Tstale: cfg.Tstale,
-			Queue: cfg.Queue, Latency: cfg.Latency, Recorder: g.log,
+			ID: cfg.ID, Tann: cfg.Tann, Tstale: cfg.Tstale, Recorder: g.log,
 		})
 		if buildErr != nil {
 			return
 		}
 		for i := range cfg.Brokers {
-			_, buildErr = g.gw.AddMemberLink(g.members[i], cfg.Segments[i], cfg.Member,
-				cfg.Views[i], cfg.Stack, cfg.Hooks)
+			buildErr = g.gw.AddMemberLink(g.members[i], cfg.Segments[i], cfg.Member,
+				cfg.Views[i], cfg.Stack, nil)
 			if buildErr != nil {
 				return
 			}
-			if _, buildErr = g.gw.AddRawLink(g.raws[i]); buildErr != nil {
+			if buildErr = g.gw.AddRawLink(g.raws[i]); buildErr != nil {
 				return
 			}
 		}

@@ -37,9 +37,6 @@ type DialConfig struct {
 	// Role classifies the client at the broker (Hello): the zero value is
 	// a plain node; gateways dial their raw digest links with RoleGateway.
 	Role wire.Role
-	// OnStatus, when non-nil, observes link transitions (true = connected)
-	// on the loop goroutine. Test hook.
-	OnStatus func(up bool)
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -454,9 +451,6 @@ func (p *Port) bind(conn net.Conn) {
 	default:
 	}
 	p.conn = conn
-	if p.m.cfg.OnStatus != nil {
-		p.m.cfg.OnStatus(true)
-	}
 	for _, f := range p.queue {
 		p.forward(wire.Msg{Kind: wire.KindRequest, Frame: f})
 		if p.conn == nil {
@@ -469,9 +463,6 @@ func (p *Port) bind(conn net.Conn) {
 func (p *Port) unbind(conn net.Conn) {
 	if p.conn == conn {
 		p.conn = nil
-		if p.m.cfg.OnStatus != nil {
-			p.m.cfg.OnStatus(false)
-		}
 	}
 }
 

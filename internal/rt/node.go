@@ -22,17 +22,14 @@ type NodeConfig struct {
 	// medium of the CANELy media-redundancy scheme: the stack drives both
 	// through the selection unit, exactly as under simulated dual media.
 	BrokerB string
-	// Stack parameterizes the protocol stack (FD, membership, J,
-	// DualGrace). The zero value is invalid; fill FD and Membership.
+	// Stack parameterizes the protocol stack (FD, membership, J). The zero
+	// value is invalid; fill FD and Membership.
 	Stack stack.Config
 	// Rate, when non-zero, asserts the brokers' signalling rate.
 	Rate can.BitRate
 	// Record captures the node's core event/command streams for
 	// deterministic re-verification (EventLog).
 	Record bool
-	// Hooks optionally observes the stack's layer boundaries. Callbacks
-	// run on the node's loop goroutine.
-	Hooks *stack.Hooks
 	// Dial tunes connection establishment and reconnect backoff. Addr and
 	// Rate fields are overridden per broker.
 	Dial DialConfig
@@ -43,8 +40,8 @@ type NodeConfig struct {
 // timers on a dedicated Loop.
 //
 // Exported methods are goroutine-safe: each marshals onto the loop and
-// waits. They must not be called from protocol callbacks (OnChange, Hooks)
-// — those already run on the loop; use the Stack directly there.
+// waits. They must not be called from protocol callbacks (OnChange) —
+// those already run on the loop; use the Stack directly there.
 type Node struct {
 	loop  *Loop
 	media []*Medium
@@ -98,7 +95,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// The stack is assembled on the loop so frame indications racing in
 	// from the broker serialize after the handlers are installed.
 	if !loop.Call(func() {
-		n.stack, buildErr = stack.New(loop.Scheduler(), media, cfg.ID, scfg, nil, cfg.Hooks)
+		n.stack, buildErr = stack.New(loop.Scheduler(), media, cfg.ID, scfg, nil, nil)
 	}) {
 		buildErr = fmt.Errorf("rt: loop closed during stack assembly")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"canely/internal/bus"
 	"canely/internal/can"
-	"canely/internal/datagram"
 	"canely/internal/fastbus"
 	"canely/internal/fault"
 	"canely/internal/sim"
@@ -24,12 +23,6 @@ const (
 	// semantics and timing resolution, no trace, counter-only statistics.
 	// Roughly an order of magnitude more campaign runs per second.
 	Fast
-	// Datagram is the internal/datagram point-to-point lossy substrate:
-	// no shared wire, no arbitration, no wired-AND — seeded per-link
-	// drop/delay/duplication instead. The environment of the gossip
-	// baseline (internal/gossip), deliberately outside the CAN properties
-	// the CANELy agreement argument needs.
-	Datagram
 )
 
 // String names the substrate as accepted by the CLIs' -substrate flag.
@@ -41,24 +34,19 @@ func (s Substrate) String() string {
 		return "bit"
 	case Fast:
 		return "fast"
-	case Datagram:
-		return "datagram"
 	}
 	return fmt.Sprintf("substrate(%d)", int(s))
 }
 
-// ParseSubstrate parses a -substrate flag value ("bit", "fast" or
-// "datagram").
+// ParseSubstrate parses a -substrate flag value ("bit" or "fast").
 func ParseSubstrate(v string) (Substrate, error) {
 	switch v {
 	case "bit", "bit-accurate", "":
 		return BitAccurate, nil
 	case "fast", "fastbus":
 		return Fast, nil
-	case "datagram", "udp":
-		return Datagram, nil
 	}
-	return 0, fmt.Errorf("stack: unknown substrate %q (want \"bit\", \"fast\" or \"datagram\")", v)
+	return 0, fmt.Errorf("stack: unknown substrate %q (want \"bit\" or \"fast\")", v)
 }
 
 // MediumConfig parameterizes a Medium.
@@ -72,14 +60,6 @@ type MediumConfig struct {
 	// Trace receives wire events on the bit-accurate substrate; the fast
 	// substrate never traces.
 	Trace *trace.Trace
-	// Seed roots the datagram substrate's per-link sampling streams; the
-	// bus substrates ignore it (their faults come from Injector scripts).
-	Seed int64
-	// Link is the datagram substrate's default per-link distribution.
-	Link datagram.LinkParams
-	// PerLink overrides the distribution for specific ordered links
-	// (datagram substrate only).
-	PerLink func(from, to can.NodeID) datagram.LinkParams
 }
 
 // NewMedium builds a Medium on the given scheduler.
@@ -87,10 +67,6 @@ func NewMedium(sched *sim.Scheduler, cfg MediumConfig) Medium {
 	switch cfg.Substrate {
 	case Fast:
 		return fastMedium{fastbus.New(sched, fastbus.Config{Rate: cfg.Rate, Injector: cfg.Injector})}
-	case Datagram:
-		return dgMedium{datagram.New(sched, datagram.Config{
-			Rate: cfg.Rate, Seed: cfg.Seed, Link: cfg.Link, PerLink: cfg.PerLink,
-		})}
 	default:
 		return bitMedium{bus.New(sched, bus.Config{Rate: cfg.Rate, Injector: cfg.Injector, Trace: cfg.Trace})}
 	}
@@ -106,8 +82,3 @@ func (m bitMedium) Attach(id can.NodeID) Port { return m.Bus.Attach(id) }
 type fastMedium struct{ *fastbus.Bus }
 
 func (m fastMedium) Attach(id can.NodeID) Port { return m.Bus.Attach(id) }
-
-// dgMedium adapts the point-to-point datagram substrate.
-type dgMedium struct{ *datagram.Net }
-
-func (m dgMedium) Attach(id can.NodeID) Port { return m.Net.Attach(id) }

@@ -1,12 +1,12 @@
 package stack
 
-// The Medium conformance suite: the contract every substrate behind
-// NewMedium must honour — attach discipline, mailbox replacement, abort and
+// The Medium conformance suite: the contract every medium a stack binds to
+// must honour — attach discipline, mailbox replacement, abort and
 // pending-probe semantics, crash (fail-silence) behaviour, the Elapsed time
 // base — asserted once, through the Medium and Port interfaces only, and run
-// against all three. Substrate-specific behaviour (arbitration, clustering,
-// fault confinement, loss, per-link distributions) is tested in the
-// substrate's own package.
+// against both NewMedium substrates and the internal/datagram network.
+// Substrate-specific behaviour (arbitration, clustering, fault confinement,
+// loss, per-link distributions) is tested in the substrate's own package.
 
 import (
 	"testing"
@@ -14,6 +14,7 @@ import (
 
 	"canely/internal/bus"
 	"canely/internal/can"
+	"canely/internal/datagram"
 	"canely/internal/sim"
 )
 
@@ -50,14 +51,23 @@ type rig struct {
 	sinks  []*sink
 }
 
-func newRig(t *testing.T, sub Substrate, n int) *rig {
+// mediumFactory builds one medium of the kind under test.
+type mediumFactory func(sched *sim.Scheduler) Medium
+
+// dgMedium adapts the lossless datagram network to the Medium interface
+// (the only impedance is Attach's concrete return type).
+type dgMedium struct{ *datagram.Net }
+
+func (m dgMedium) Attach(id can.NodeID) Port { return m.Net.Attach(id) }
+
+func newRig(t *testing.T, newMedium mediumFactory, n int) *rig {
 	t.Helper()
 	r := &rig{sched: sim.NewScheduler()}
-	r.medium = NewMedium(r.sched, MediumConfig{Substrate: sub})
+	r.medium = newMedium(r.sched)
 	for i := 0; i < n; i++ {
 		p, ok := r.medium.Attach(can.NodeID(i)).(probedPort)
 		if !ok {
-			t.Fatalf("%v port lacks the Pending/QueueLen probes", sub)
+			t.Fatalf("%s port lacks the Pending/QueueLen probes", t.Name())
 		}
 		s := &sink{}
 		p.SetHandler(s)
@@ -99,20 +109,20 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 var conformance = []struct {
 	name string
-	run  func(t *testing.T, sub Substrate)
+	run  func(t *testing.T, newMedium mediumFactory)
 }{
 	// Node identity is static configuration: attaching an id twice, or an
 	// id outside the node space, is a programming error.
-	{"attach", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 1)
+	{"attach", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 1)
 		mustPanic(t, "double attach", func() { r.medium.Attach(0) })
 		mustPanic(t, "invalid id", func() { r.medium.Attach(can.NodeID(can.MaxNodes)) })
 	}},
 
 	// A lossless medium hands a frame to every other attached node exactly
 	// once; the sender gets its confirmation and its own indication.
-	{"broadcast", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 4)
+	{"broadcast", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 4)
 		mustRequest(t, r.ports[1], dataFrame(1, 0, 0xAB))
 		r.sched.Run()
 		if s := r.sinks[1]; s.own != 1 || s.confirms != 1 || len(s.foreign) != 0 {
@@ -133,8 +143,8 @@ var conformance = []struct {
 
 	// Mailbox semantics: a waiting request with the same (identifier, kind)
 	// is replaced in place, not queued behind the old one.
-	{"mailbox replace", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 2)
+	{"mailbox replace", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 2)
 		p := r.ports[0]
 		blocker := rtrFrame(can.FDASign(0)) // outranks any data frame
 		mustRequest(t, p, blocker)
@@ -159,8 +169,8 @@ var conformance = []struct {
 
 	// can-abort.req has effect only on waiting requests: the frame on the
 	// wire is not recalled.
-	{"abort", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 2)
+	{"abort", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 2)
 		p := r.ports[0]
 		first := rtrFrame(can.FDASign(1))
 		second := dataFrame(0, 9)
@@ -190,8 +200,8 @@ var conformance = []struct {
 
 	// PendingEquivalent sees a wire-identical request from the moment it is
 	// made until it has been transmitted, and nothing else.
-	{"pending equivalent", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 2)
+	{"pending equivalent", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 2)
 		mustRequest(t, r.ports[1], dataFrame(1, 1))
 		r.onWire()
 		f := rtrFrame(can.FDASign(3))
@@ -210,8 +220,8 @@ var conformance = []struct {
 
 	// Crash is fail-silence: idempotent, the port leaves the alive set,
 	// rejects requests and hears nothing more.
-	{"crash", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 2)
+	{"crash", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 2)
 		p := r.ports[1]
 		p.Crash()
 		p.Crash()
@@ -233,8 +243,8 @@ var conformance = []struct {
 
 	// Elapsed is the scheduler's clock: zero on a fresh medium, never
 	// backwards, and past a frame's wire time once the frame has arrived.
-	{"elapsed", func(t *testing.T, sub Substrate) {
-		r := newRig(t, sub, 2)
+	{"elapsed", func(t *testing.T, newMedium mediumFactory) {
+		r := newRig(t, newMedium, 2)
 		if got := r.medium.Elapsed(); got != 0 {
 			t.Fatalf("fresh medium elapsed %v", got)
 		}
@@ -258,10 +268,24 @@ var conformance = []struct {
 }
 
 func TestMediumConformance(t *testing.T) {
-	for _, sub := range []Substrate{BitAccurate, Fast, Datagram} {
-		t.Run(sub.String(), func(t *testing.T) {
+	substrate := func(sub Substrate) mediumFactory {
+		return func(sched *sim.Scheduler) Medium {
+			return NewMedium(sched, MediumConfig{Substrate: sub})
+		}
+	}
+	for _, m := range []struct {
+		name string
+		new  mediumFactory
+	}{
+		{BitAccurate.String(), substrate(BitAccurate)},
+		{Fast.String(), substrate(Fast)},
+		{"datagram", func(sched *sim.Scheduler) Medium {
+			return dgMedium{datagram.New(sched, datagram.Config{})}
+		}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
 			for _, c := range conformance {
-				t.Run(c.name, func(t *testing.T) { c.run(t, sub) })
+				t.Run(c.name, func(t *testing.T) { c.run(t, m.new) })
 			}
 		})
 	}

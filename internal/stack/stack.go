@@ -23,9 +23,8 @@
 // inconsistent omissions; a seeded run delivers the same frame sequence and
 // reaches the same membership views on either.
 //
-// Every layer boundary carries a uniform hook point (Hooks) for trace
-// events and fault injection, so experiments can observe or perturb the
-// stack without reaching into protocol internals.
+// Every layer boundary carries a uniform hook point (Hooks), so experiments
+// can observe the stack without reaching into protocol internals.
 package stack
 
 import (
@@ -89,16 +88,10 @@ type Medium interface {
 	Elapsed() time.Duration
 }
 
-// Hooks is the uniform observation and fault-injection surface at the
-// stack's layer boundaries. Every field is optional; a nil Hooks (or any
-// nil field) costs nothing. Hook callbacks observe after the protocol
-// entities at the same boundary, except FilterIndication, which runs first
-// and may suppress the event entirely.
+// Hooks is the uniform observation surface at the stack's layer
+// boundaries. Every field is optional; a nil Hooks (or any nil field) costs
+// nothing.
 type Hooks struct {
-	// FilterIndication runs at the controller -> standard-layer boundary
-	// before any protocol entity sees the frame; returning false drops the
-	// indication at this node only — targeted receive-omission injection.
-	FilterIndication func(node can.NodeID, f can.Frame, own bool) bool
 	// OnIndication observes every frame indication entering the standard
 	// layer (own transmissions included).
 	OnIndication func(node can.NodeID, f can.Frame, own bool)
@@ -127,9 +120,6 @@ type Config struct {
 	// J is the inconsistent omission degree bound shared by the
 	// EDCAN-family broadcast services the stack can enable.
 	J int
-	// DualGrace is the media-redundancy selection grace window (zero picks
-	// the redundancy layer's default).
-	DualGrace time.Duration
 	// Recorder, when non-nil, captures this node's core event/command
 	// streams for deterministic re-execution (internal/replay).
 	Recorder *replay.Log
@@ -200,7 +190,7 @@ func New(sched *sim.Scheduler, media []Medium, id can.NodeID, cfg Config, tr *tr
 	}
 	var ctrl canlayer.Controller = st.Ports[0]
 	if len(media) == 2 {
-		st.Dual = redundancy.NewDualPort(sched, st.Ports[0], st.Ports[1], cfg.DualGrace)
+		st.Dual = redundancy.NewDualPort(sched, st.Ports[0], st.Ports[1])
 		ctrl = st.Dual
 	}
 	if hooks != nil {
@@ -505,9 +495,6 @@ type hookHandler struct {
 }
 
 func (h *hookHandler) OnFrame(f can.Frame, own bool) {
-	if flt := h.hooks.FilterIndication; flt != nil && !flt(h.node, f, own) {
-		return
-	}
 	if fn := h.hooks.OnIndication; fn != nil {
 		fn(h.node, f, own)
 	}

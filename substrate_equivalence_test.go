@@ -220,15 +220,8 @@ func TestSubstrateEquivalence(t *testing.T) {
 				bitStats.Inaccessibility != fastStats.Inaccessibility {
 				t.Errorf("stats differ:\n  bit:  %+v\n  fast: %+v", bitStats, fastStats)
 			}
-			for typ, bits := range bitStats.BitsByType {
-				if fastStats.BitsByType[typ] != bits {
-					t.Errorf("BitsByType[%v]: bit=%d fast=%d", typ, bits, fastStats.BitsByType[typ])
-				}
-			}
-			for typ, bits := range fastStats.BitsByType {
-				if _, ok := bitStats.BitsByType[typ]; !ok && bits != 0 {
-					t.Errorf("BitsByType[%v]: bit absent, fast=%d", typ, bits)
-				}
+			if bitStats.BitsByType != fastStats.BitsByType {
+				t.Errorf("BitsByType differ:\n  bit:  %v\n  fast: %v", bitStats.BitsByType, fastStats.BitsByType)
 			}
 		})
 	}
