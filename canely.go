@@ -155,10 +155,10 @@ type Config struct {
 	Record bool
 
 	// DualMedia enables the CANELy media redundancy scheme ([17]): every
-	// node drives two replicated buses through a selection unit, so a
-	// single-medium partition or jam never partitions the network. Script
-	// and the stochastic injector apply to medium A; medium B is fault-free.
-	// Both media use Config.Substrate.
+	// node drives two replicated buses and passes up the first copy of each
+	// frame either one carries, so a single-medium partition or jam never
+	// partitions the network. Script and the stochastic injector apply to
+	// medium A; medium B is fault-free. Both media use Config.Substrate.
 	DualMedia bool
 
 	// Scheduler, when non-nil, is Reset and reused as the network's event
@@ -428,10 +428,6 @@ func (nd *Node) Crash() {
 // system's perspective it has failed and its local view is stale. Under
 // DualMedia the node is alive while at least one medium serves it.
 func (nd *Node) Alive() bool { return nd.st.Alive() }
-
-// ActiveMedium returns the index of the medium the node currently receives
-// from (always 0 without DualMedia).
-func (nd *Node) ActiveMedium() int { return nd.st.ActiveMedium() }
 
 // Send broadcasts one application data message on a stream. Application
 // traffic doubles as an implicit heartbeat (can-data.nty).

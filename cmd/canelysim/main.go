@@ -74,7 +74,7 @@ func main() {
 		joins    = flag.String("join", "", "join events, id@offset[,...] (ids beyond -nodes are created)")
 		leaves   = flag.String("leave", "", "leave events, id@offset[,...]")
 		traffic  = flag.Duration("traffic", 0, "cyclic application traffic period (0 = none)")
-		dual     = flag.Bool("dualmedia", false, "replicated media with reception by selection")
+		dual     = flag.Bool("dualmedia", false, "two replicated media; each node passes up the first copy of every frame")
 		showAll  = flag.Bool("trace", false, "dump the full event trace")
 		subFlag  = flag.String("substrate", "bit", "medium substrate: bit (bit-accurate, traced) or fast (frame-level, no trace)")
 		record   = flag.String("record", "", "save the per-node core event/command streams to this file (JSON)")

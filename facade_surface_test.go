@@ -22,9 +22,6 @@ func TestFacadeSurface(t *testing.T) {
 	if tec, rec := nd.ErrorCounters(); tec != 0 || rec != 0 {
 		t.Fatalf("fresh counters = %d/%d", tec, rec)
 	}
-	if nd.ActiveMedium() != 0 {
-		t.Fatal("single-medium node must report medium 0")
-	}
 
 	nd.StartCyclicTraffic(1, 2*time.Millisecond, []byte{1})
 	net.Run(10 * time.Millisecond)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"canely/internal/bus"
 	"canely/internal/can"
 	"canely/internal/core/fd"
 	"canely/internal/core/membership"
@@ -56,14 +57,11 @@ func TestMembershipOverDualMedia(t *testing.T) {
 			t.Fatalf("node %d view = %v despite media redundancy", i, st.Msh.View())
 		}
 	}
-	// The jam really happened and the selection units really switched.
-	switched := 0
-	for _, st := range stacks {
-		if st.ActiveMedium() == 1 {
-			switched++
+	// The jam really happened: medium A's controllers are shut down, and
+	// the views above held on medium B alone.
+	for i, st := range stacks {
+		if got := st.Ports[0].State(); got != bus.BusOff {
+			t.Fatalf("node %d medium-A controller %v — the jam never bit", i, got)
 		}
-	}
-	if switched == 0 {
-		t.Fatal("no node failed over — the jam never bit")
 	}
 }

@@ -6,15 +6,13 @@
 //
 // The egg: replicate the transmission medium and drive every replica
 // simultaneously from the same CAN controller. No protocol coordinates the
-// replicas — each receiver merely *selects* among its per-medium receive
-// lines, and a local media-selection unit masks a medium once it fails to
-// carry what its sibling carries. Because every frame travels on every
-// medium, masking is purely local: a partition, a stuck-at fault or a
-// babbling segment on one medium is transparent as long as one replica
-// still connects the nodes.
+// replicas — every frame travels on every medium, so a receiver needs only
+// one good copy, and merging the per-medium receive lines is purely local:
+// a partition, a stuck-at fault or a babbling segment on one medium is
+// transparent as long as one replica still connects the nodes.
 //
-// DualPort is that selection unit at the controller interface, over two
-// simulated media. Its tests inject each single-medium fault class — cut,
+// DualPort is that merge at the controller interface, over two simulated
+// media. Its tests inject each single-medium fault class — cut,
 // stuck-dominant, stuck-recessive — on real buses and check the property
 // the paper relies on: no single-medium fault partitions a dual-media
 // network.
@@ -33,34 +31,36 @@ import (
 // DualPort realizes the Columbus' egg at the controller interface: one
 // logical CAN controller driving two replicated media (two bus instances
 // on the same scheduler). Transmissions go out on both media; reception is
-// by selection — indications pass through from the currently active medium
-// and the standby is monitored. When the standby delivers a frame the
-// active medium fails to match within the grace window, the selection unit
-// fails over, so a partition, jam or dead driver on one medium never
-// partitions the node.
+// a first-copy merge. A copy that arrives on one medium is passed up at
+// once, unless the sibling medium passed up the same frame within grace
+// and that copy is still unmatched: then the two copies pair off and this
+// one is dropped. Every copy is either passed up or pairs with a distinct
+// copy that was, so a frame any medium delivers reaches the node — a
+// partition, jam or dead driver on one medium never partitions it.
 //
-// During a failover a frame may be delivered twice (once per medium);
+// A copy the sibling carries more than grace later is passed up again;
 // duplicates are within CAN's LLC contract (LCAN3, at-least-once) and every
 // CANELy protocol absorbs them by design — the paper's duplicate counters
 // exist for exactly this class of event.
 //
 // DualPort implements canlayer.Controller, so the entire protocol stack
-// runs over it unchanged.
+// runs over it unchanged. It reads the scheduler's clock and schedules
+// nothing.
 type DualPort struct {
 	sched *sim.Scheduler
 	ports [2]Port
 
 	handler bus.Handler
-	active  int
 
-	// recent remembers deliveries per medium for matching, keyed by frame
-	// identity; values are the virtual delivery instants.
-	recent [2]map[frameKey][]sim.Time
-	// waiting tracks standby frames pending an active match.
-	waiting map[frameKey]sim.Event
+	// passed holds, per medium, the copies it passed up within the last
+	// grace that no sibling copy has matched yet, oldest first.
+	passed [2][]passedCopy
+}
 
-	// Failovers counts medium switches (diagnostics).
-	Failovers int
+// passedCopy is one unmatched copy a medium passed up, and when.
+type passedCopy struct {
+	key frameKey
+	at  sim.Time
 }
 
 // frameKey identifies a frame on the wire for cross-media matching.
@@ -77,8 +77,10 @@ func keyOf(f can.Frame, cnf bool) frameKey {
 }
 
 // Port is the single-medium controller surface a DualPort replicates over:
-// the exposed controller interface plus the liveness the selection unit
-// monitors. Satisfied by *bus.Port and by the fastbus substrate's ports.
+// the exposed controller interface plus the liveness the merge needs for
+// bus-off propagation. Satisfied by *bus.Port, by the fastbus substrate's
+// ports and by DualPort itself, so a stack drives one medium or two
+// through the same type.
 type Port interface {
 	canlayer.Controller
 	Crash()
@@ -87,8 +89,8 @@ type Port interface {
 
 var _ Port = (*bus.Port)(nil)
 
-// grace is how long a standby delivery waits for the active medium to
-// match before triggering failover: one worst-case frame.
+// grace is how long a passed-up copy waits for its sibling: one worst-case
+// frame.
 const grace = 200 * time.Microsecond
 
 // NewDualPort attaches the node to both media. The two ports must carry
@@ -97,20 +99,11 @@ func NewDualPort(sched *sim.Scheduler, a, b Port) *DualPort {
 	if a.ID() != b.ID() {
 		panic(fmt.Sprintf("redundancy: port identities differ: %v vs %v", a.ID(), b.ID()))
 	}
-	d := &DualPort{
-		sched:   sched,
-		ports:   [2]Port{a, b},
-		waiting: make(map[frameKey]sim.Event),
-	}
-	d.recent[0] = make(map[frameKey][]sim.Time)
-	d.recent[1] = make(map[frameKey][]sim.Time)
+	d := &DualPort{sched: sched, ports: [2]Port{a, b}}
 	a.SetHandler(&mediumTap{d: d, medium: 0})
 	b.SetHandler(&mediumTap{d: d, medium: 1})
 	return d
 }
-
-// Active returns the index of the active medium (0 or 1).
-func (d *DualPort) Active() int { return d.active }
 
 // canlayer.Controller implementation.
 
@@ -155,7 +148,7 @@ func (d *DualPort) Operational() bool {
 	return d.ports[0].Operational() || d.ports[1].Operational()
 }
 
-var _ canlayer.Controller = (*DualPort)(nil)
+var _ Port = (*DualPort)(nil)
 
 // mediumTap receives one medium's indications.
 type mediumTap struct {
@@ -163,99 +156,31 @@ type mediumTap struct {
 	medium int
 }
 
-func (t *mediumTap) OnFrame(f can.Frame, own bool) { t.d.onEvent(t.medium, f, own, false) }
-func (t *mediumTap) OnConfirm(f can.Frame)         { t.d.onEvent(t.medium, f, false, true) }
+func (t *mediumTap) OnFrame(f can.Frame, own bool) { t.d.onCopy(t.medium, f, own, false) }
+func (t *mediumTap) OnConfirm(f can.Frame)         { t.d.onCopy(t.medium, f, false, true) }
 
-// OnBusOff on the active medium triggers failover; on both, it propagates.
+// OnBusOff propagates only once neither medium serves the node.
 func (t *mediumTap) OnBusOff() {
 	d := t.d
-	other := 1 - t.medium
-	if t.medium == d.active && d.ports[other].Operational() {
-		d.failover(other)
-		return
-	}
-	if !d.ports[0].Operational() && !d.ports[1].Operational() && d.handler != nil {
+	d.trim(d.sched.Now())
+	if !d.Operational() && d.handler != nil {
 		d.handler.OnBusOff()
 	}
 }
 
-// onEvent runs the selection logic for one frame or confirmation event.
-func (d *DualPort) onEvent(medium int, f can.Frame, own, cnf bool) {
-	key := keyOf(f, cnf)
+// onCopy merges one medium's copy of a frame or confirmation.
+func (d *DualPort) onCopy(medium int, f can.Frame, own, cnf bool) {
 	now := d.sched.Now()
-	d.recent[medium][key] = append(d.recent[medium][key], now)
-	d.gc(medium, key, now)
-
-	if medium == d.active {
-		// Pass through; a standby copy waiting on this frame is satisfied.
-		if ev, ok := d.waiting[key]; ok {
-			ev.Cancel()
-			delete(d.waiting, key)
-		}
-		d.dispatch(f, own, cnf)
-		return
-	}
-	// Standby delivery: if the active medium already matched it (same
-	// identity within the grace window), drop the copy; otherwise arm the
-	// failover timer.
-	if d.matchedRecently(d.active, key, now) {
-		return
-	}
-	if _, pending := d.waiting[key]; pending {
-		return
-	}
-	fCopy, ownCopy, cnfCopy := f, own, cnf
-	d.waiting[key] = d.sched.After(grace, func() {
-		delete(d.waiting, keyOf(fCopy, cnfCopy))
-		// The active medium never produced the frame: it is failing.
-		d.failover(medium)
-		d.dispatch(fCopy, ownCopy, cnfCopy)
-	})
-}
-
-// matchedRecently reports whether the medium produced an equal event
-// within the grace window.
-func (d *DualPort) matchedRecently(medium int, key frameKey, now sim.Time) bool {
-	for _, at := range d.recent[medium][key] {
-		if now.Sub(at) <= grace {
-			return true
+	d.trim(now)
+	key := keyOf(f, cnf)
+	sib := d.passed[1-medium]
+	for i := range sib {
+		if sib[i].key == key {
+			d.passed[1-medium] = append(sib[:i], sib[i+1:]...)
+			return
 		}
 	}
-	return false
-}
-
-// gc trims match records older than the grace window.
-func (d *DualPort) gc(medium int, key frameKey, now sim.Time) {
-	times := d.recent[medium][key]
-	keep := times[:0]
-	for _, at := range times {
-		if now.Sub(at) <= grace {
-			keep = append(keep, at)
-		}
-	}
-	if len(keep) == 0 {
-		delete(d.recent[medium], key)
-		return
-	}
-	d.recent[medium][key] = keep
-}
-
-// failover switches the active medium.
-func (d *DualPort) failover(to int) {
-	if d.active == to {
-		return
-	}
-	d.active = to
-	d.Failovers++
-	// Pending waits belong to the previous selection decision.
-	for k, ev := range d.waiting {
-		ev.Cancel()
-		delete(d.waiting, k)
-	}
-}
-
-// dispatch forwards an event to the logical handler.
-func (d *DualPort) dispatch(f can.Frame, own, cnf bool) {
+	d.passed[medium] = append(d.passed[medium], passedCopy{key: key, at: now})
 	if d.handler == nil {
 		return
 	}
@@ -264,4 +189,16 @@ func (d *DualPort) dispatch(f can.Frame, own, cnf bool) {
 		return
 	}
 	d.handler.OnFrame(f, own)
+}
+
+// trim forgets the copies passed up more than grace ago: a sibling copy
+// that late is a delivery of its own, not a match.
+func (d *DualPort) trim(now sim.Time) {
+	for m, q := range d.passed {
+		old := 0
+		for old < len(q) && now.Sub(q[old].at) > grace {
+			old++
+		}
+		d.passed[m] = q[:copy(q, q[old:])]
+	}
 }

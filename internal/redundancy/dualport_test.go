@@ -60,15 +60,11 @@ func TestDualPortFaultFreeSingleDeliveryStream(t *testing.T) {
 	if cnf != 5 {
 		t.Fatalf("confirms = %d, want 5", cnf)
 	}
-	if r.duals[1].Failovers != 0 {
-		t.Fatal("spurious failover in a fault-free run")
-	}
 }
 
 func TestDualPortSurvivesJammedActiveMedium(t *testing.T) {
-	// Medium A (the initial active) corrupts every frame: receivers obtain
-	// traffic only via medium B. The selection unit must fail over and the
-	// stream must continue.
+	// Medium A corrupts every frame: receivers obtain traffic only via
+	// medium B, and the stream must continue without a loss or a duplicate.
 	jam := fault.NewScript(fault.Rule{
 		Match:    fault.NewMatch(0),
 		Decision: fault.Decision{Corrupt: true},
@@ -83,21 +79,15 @@ func TestDualPortSurvivesJammedActiveMedium(t *testing.T) {
 		r.layers[0].DataReq(can.DataSign(0, 0, uint8(k)), []byte{byte(10 + k)})
 		r.sched.RunFor(2 * time.Millisecond)
 	}
-	if len(got) < 4 {
-		t.Fatalf("deliveries = %d, want >= 4 (stream must survive the jam)", len(got))
-	}
-	if r.duals[2].Failovers == 0 {
-		t.Fatal("receiver never failed over to the healthy medium")
-	}
-	if r.duals[2].Active() != 1 {
-		t.Fatal("active medium should be B after the jam")
+	if len(got) != 4 {
+		t.Fatalf("deliveries = %d, want 4 (stream must survive the jam)", len(got))
 	}
 }
 
 func TestDualPortPartitionedMediumTransparent(t *testing.T) {
-	// Medium A drops every frame at node 2 (partition-like): node 2's
-	// selection unit fails over to B; nodes 0/1 stay on A. Everyone keeps
-	// receiving everything.
+	// Medium A drops every frame at node 2 (partition-like): node 2 hears
+	// the stream on B only, nodes 0/1 on both. Everyone keeps receiving
+	// everything.
 	cut := fault.NewScript(fault.Rule{
 		Match:    fault.NewMatch(0),
 		Decision: fault.Decision{InconsistentVictims: can.MakeSet(2)},
@@ -173,42 +163,39 @@ func (stuckRecessive) Decide(ctx fault.TxContext) fault.Decision {
 	return fault.Decision{InconsistentVictims: ctx.Receivers}
 }
 
-// stream has the nodes take turns sending one data frame every 10ms,
-// frames in all starting with node first, and returns how many distinct
-// frames each node obtained (its own included: self-reception). 10ms
-// outlasts the 32 retransmissions that take a sender bus-off on a faulty
-// medium, so each selection decision sees one frame in flight; what
-// DualPort does with overlapping ones is ROADMAP item 4's business (at 2ms
-// the cut@4 case of the property below loses a frame at node 2).
-func (r *dualRig) stream(t *testing.T, first, frames int) []int {
+// stream has the nodes take turns requesting one data frame every
+// spacing, frames in all starting with node first, drains the media for
+// 50ms and returns, per node, how many copies of each frame it obtained
+// (its own included: self-reception). A spacing of 10ms outlasts the 32
+// retransmissions that take a sender bus-off on a faulty medium, so one
+// frame is in flight at a time; shorter spacings overlap them, and 0
+// requests every frame at once.
+func (r *dualRig) stream(t *testing.T, first, frames int, spacing time.Duration) []map[byte]int {
 	t.Helper()
 	n := len(r.layers)
-	seen := make([]map[byte]bool, n)
+	copies := make([]map[byte]int, n)
 	for i, l := range r.layers {
 		i := i
-		seen[i] = map[byte]bool{}
-		l.HandleDataInd(func(_ can.MID, d []byte) { seen[i][d[0]] = true })
+		copies[i] = map[byte]int{}
+		l.HandleDataInd(func(_ can.MID, d []byte) { copies[i][d[0]]++ })
 	}
 	for k := 0; k < frames; k++ {
 		sender := (first + k) % n
 		if err := r.layers[sender].DataReq(can.DataSign(0, can.NodeID(sender), uint8(k)), []byte{byte(k)}); err != nil {
 			t.Fatalf("frame %d: node %d request refused: %v", k, sender, err)
 		}
-		r.sched.RunFor(10 * time.Millisecond)
+		r.sched.RunFor(spacing)
 	}
-	got := make([]int, n)
-	for i := range seen {
-		got[i] = len(seen[i])
-	}
-	return got
+	r.sched.RunFor(50 * time.Millisecond)
+	return copies
 }
 
 // requireConnected fails unless every node obtained every frame.
-func requireConnected(t *testing.T, got []int, frames int) {
+func requireConnected(t *testing.T, got []map[byte]int, frames int) {
 	t.Helper()
-	for node, n := range got {
-		if n != frames {
-			t.Fatalf("node %d obtained %d of %d frames: %v", node, n, frames, got)
+	for node, c := range got {
+		if len(c) != frames {
+			t.Fatalf("node %d obtained %d of %d frames: %v", node, len(c), frames, c)
 		}
 	}
 }
@@ -244,39 +231,11 @@ func TestSingleMediumPartitionSplitsTheNetwork(t *testing.T) {
 	}
 }
 
-func TestDualMediaMaskPartition(t *testing.T) {
-	// The Columbus' egg: the same cut on one of two media is invisible.
-	r := newDualRig(t, 6, cut{at: 3}, nil)
-	requireConnected(t, r.stream(t, 0, 12), 12)
-	// Node 0 sent first: the far-side selection units saw medium B deliver
-	// what A did not, and masked A.
-	for node := 3; node < 6; node++ {
-		if r.duals[node].Active() != 1 {
-			t.Fatalf("node %d never masked the partitioned medium", node)
-		}
-	}
-}
-
-func TestStuckDominantMediumIsMaskedAndServiceContinues(t *testing.T) {
-	r := newDualRig(t, 4, stuckDominant{}, nil)
-	requireConnected(t, r.stream(t, 0, 8), 8)
-	for node, d := range r.duals {
-		if d.Active() != 1 {
-			t.Fatalf("node %d never masked the jammed medium", node)
-		}
-	}
-}
-
 func TestStuckRecessiveMediumTransparent(t *testing.T) {
 	// A medium that is silent from the start: nothing it carries is ever
 	// received, and nothing is lost.
 	r := newDualRig(t, 4, stuckRecessive{}, nil)
-	requireConnected(t, r.stream(t, 0, 8), 8)
-	for node, d := range r.duals {
-		if d.Active() != 1 {
-			t.Fatalf("node %d never masked the dead medium", node)
-		}
-	}
+	requireConnected(t, r.stream(t, 0, 8, 10*time.Millisecond), 8)
 }
 
 // midRun lets the first `after` transmissions of a medium through and
@@ -296,29 +255,33 @@ func (m *midRun) Decide(ctx fault.TxContext) fault.Decision {
 
 func TestMidRunMediumFailure(t *testing.T) {
 	r := newDualRig(t, 5, &midRun{after: 5, fault: cut{at: 2}}, nil)
-	requireConnected(t, r.stream(t, 0, 15), 15)
-	failedOver := 0
-	for _, d := range r.duals {
-		failedOver += d.Failovers
-	}
-	if failedOver == 0 {
-		t.Fatal("no selection unit failed over — the cut never bit")
+	requireConnected(t, r.stream(t, 0, 15, 10*time.Millisecond), 15)
+	if r.busA.Stats().FramesInconsistent == 0 {
+		t.Fatal("medium A delivered everything — the cut never bit")
 	}
 }
 
 func TestHealthyMediaNeverMasked(t *testing.T) {
+	// Two healthy replicas deliver every frame at the same instant: each
+	// node passes up exactly one copy of each.
 	r := newDualRig(t, 4, nil, nil)
-	requireConnected(t, r.stream(t, 0, 50), 50)
-	for node, d := range r.duals {
-		if d.Failovers != 0 || d.Active() != 0 {
-			t.Fatalf("node %d masked a healthy medium (failovers=%d)", node, d.Failovers)
+	got := r.stream(t, 0, 50, 10*time.Millisecond)
+	requireConnected(t, got, 50)
+	for node, c := range got {
+		n := 0
+		for _, k := range c {
+			n += k
+		}
+		if n != 50 {
+			t.Fatalf("node %d passed up %d deliveries of 50 frames: the replica duplicated", node, n)
 		}
 	}
 }
 
 // Property: with two media, ANY single-medium fault — whichever replica it
-// hits, wherever it is cut, whoever sends first — leaves the network
-// connected on every broadcast: the paper's footnote-4 guarantee.
+// hits, wherever it is cut, whoever sends first, however closely the
+// frames follow each other — leaves the network connected on every
+// broadcast: the paper's footnote-4 guarantee.
 func TestAnySingleMediumFaultToleratedProperty(t *testing.T) {
 	faults := []struct {
 		name string
@@ -335,10 +298,18 @@ func TestAnySingleMediumFaultToleratedProperty(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/medium%d", f.name, medium), func(t *testing.T) {
 				var injs [2]fault.Injector
 				injs[medium] = f.inj
-				for first := 0; first < 6; first++ {
-					t.Logf("first sender %d", first)
-					r := newDualRig(t, 6, injs[0], injs[1])
-					requireConnected(t, r.stream(t, first, 12), 12)
+				for _, spacing := range []time.Duration{10 * time.Millisecond, 2 * time.Millisecond, 0} {
+					name := spacing.String()
+					if spacing == 0 {
+						name = "back-to-back"
+					}
+					t.Run(name, func(t *testing.T) {
+						for first := 0; first < 6; first++ {
+							t.Logf("first sender %d", first)
+							r := newDualRig(t, 6, injs[0], injs[1])
+							requireConnected(t, r.stream(t, first, 12, spacing), 12)
+						}
+					})
 				}
 			})
 		}

@@ -18,7 +18,7 @@ type DialConfig struct {
 	// Addr is the broker address: "unix:/path" or "[tcp:]host:port".
 	Addr string
 	// Rate, when non-zero, asserts the broker's signalling rate: a
-	// mismatching Welcome fails the dial. Zero adopts the broker's rate.
+	// mismatching Welcome fails the dial. Zero accepts any rate.
 	Rate can.BitRate
 	// DialTimeout bounds the initial connection (including handshake and
 	// retries). Defaults to 10 s.
@@ -74,7 +74,6 @@ type Medium struct {
 	loop *Loop
 	cfg  DialConfig
 	id   can.NodeID
-	rate can.BitRate
 	port *Port
 
 	closeOnce sync.Once
@@ -128,10 +127,9 @@ func DialMedium(loop *Loop, id can.NodeID, cfg DialConfig) (*Medium, error) {
 	deadline := time.Now().Add(cfg.DialTimeout)
 	bo := newBackoff(&cfg, id)
 	var conn net.Conn
-	var rate can.BitRate
 	for {
 		var err error
-		conn, rate, err = m.dialOnce(deadline)
+		conn, err = m.dialOnce(deadline)
 		if err == nil {
 			break
 		}
@@ -141,7 +139,6 @@ func DialMedium(loop *Loop, id can.NodeID, cfg DialConfig) (*Medium, error) {
 		}
 		time.Sleep(delay)
 	}
-	m.rate = rate
 
 	m.wg.Add(1)
 	go m.manage(conn)
@@ -149,17 +146,17 @@ func DialMedium(loop *Loop, id can.NodeID, cfg DialConfig) (*Medium, error) {
 }
 
 // dialOnce performs one dial + handshake attempt.
-func (m *Medium) dialOnce(deadline time.Time) (net.Conn, can.BitRate, error) {
+func (m *Medium) dialOnce(deadline time.Time) (net.Conn, error) {
 	network, address := SplitAddr(m.cfg.Addr)
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.Dial(network, address)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	_ = conn.SetDeadline(deadline)
 	if err := wire.Write(conn, wire.Msg{Kind: wire.KindHello, Node: m.id, Role: m.cfg.Role}); err != nil {
 		conn.Close()
-		return nil, 0, fmt.Errorf("hello: %w", err)
+		return nil, fmt.Errorf("hello: %w", err)
 	}
 	welcome, err := wire.Read(conn)
 	if err != nil || welcome.Kind != wire.KindWelcome {
@@ -167,14 +164,14 @@ func (m *Medium) dialOnce(deadline time.Time) (net.Conn, can.BitRate, error) {
 		if err == nil {
 			err = fmt.Errorf("unexpected %v before welcome", welcome.Kind)
 		}
-		return nil, 0, fmt.Errorf("welcome: %w", err)
+		return nil, fmt.Errorf("welcome: %w", err)
 	}
 	if m.cfg.Rate != 0 && welcome.Rate != m.cfg.Rate {
 		conn.Close()
-		return nil, 0, fmt.Errorf("broker rate %d, want %d", welcome.Rate, m.cfg.Rate)
+		return nil, fmt.Errorf("broker rate %d, want %d", welcome.Rate, m.cfg.Rate)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return conn, welcome.Rate, nil
+	return conn, nil
 }
 
 // manage owns the connection lifecycle: bind, pump, unbind, redial. All
@@ -201,7 +198,7 @@ func (m *Medium) manage(conn net.Conn) {
 		bo := newBackoff(&m.cfg, m.id)
 		for {
 			var err error
-			conn, _, err = m.dialOnce(time.Now().Add(m.cfg.BackoffMax + time.Second))
+			conn, err = m.dialOnce(time.Now().Add(m.cfg.BackoffMax + time.Second))
 			if err == nil {
 				break
 			}
@@ -275,28 +272,12 @@ func (m *Medium) Attach(id can.NodeID) stack.Port {
 	return m.port
 }
 
-// Rate returns the broker's signalling rate.
-func (m *Medium) Rate() can.BitRate { return m.rate }
-
-// AliveSet reports only this node's liveness: a live medium has no global
-// view of the bus (the broker does). Experiments needing the global set
-// run on the simulated media.
-func (m *Medium) AliveSet() can.NodeSet {
-	if m.port.alive {
-		return can.MakeSet(m.id)
-	}
-	return can.EmptySet
-}
-
 // Stats synthesizes a minimal statistics snapshot from the local
 // controller counters; wire-level occupancy accounting lives at the
 // broker.
 func (m *Medium) Stats() bus.Stats {
 	return bus.Stats{FramesOK: m.port.txOK + m.port.rxOK}
 }
-
-// Elapsed returns the wall-clock time base of the medium.
-func (m *Medium) Elapsed() time.Duration { return m.loop.Elapsed() }
 
 var _ stack.Medium = (*Medium)(nil)
 
@@ -401,9 +382,6 @@ func (p *Port) Crash() {
 	go p.m.Close()
 }
 
-// Alive reports whether the node has not crashed.
-func (p *Port) Alive() bool { return p.alive }
-
 // Operational reports whether the controller exchanges traffic eventually:
 // alive and not confined. A disconnected-but-alive port still reports
 // true — the outage is transient and its queue survives, unlike bus-off.
@@ -417,12 +395,6 @@ func (p *Port) State() bus.ControllerState { return p.state }
 
 // Counters returns the last (TEC, REC) reported by the broker.
 func (p *Port) Counters() (tec, rec int) { return p.tec, p.rec }
-
-// TxSuccesses returns the number of confirmed transmissions.
-func (p *Port) TxSuccesses() int { return p.txOK }
-
-// RxSuccesses returns the number of received frames.
-func (p *Port) RxSuccesses() int { return p.rxOK }
 
 // forward writes one message to the broker when connected; a write
 // failure severs the connection and lets the manager redial.

@@ -19,8 +19,9 @@ type NodeConfig struct {
 	// "[tcp:]host:port").
 	Broker string
 	// BrokerB, when non-empty, dials a second broker as the replicated
-	// medium of the CANELy media-redundancy scheme: the stack drives both
-	// through the selection unit, exactly as under simulated dual media.
+	// medium of the CANELy media-redundancy scheme: the stack transmits on
+	// both and passes up the first copy of each frame, exactly as under
+	// simulated dual media.
 	BrokerB string
 	// Stack parameterizes the protocol stack (FD, membership, J). The zero
 	// value is invalid; fill FD and Membership.

@@ -267,6 +267,75 @@ func TestBrokerRestartReconnectsAndReconverges(t *testing.T) {
 	})
 }
 
+// TestLiveDualMediaSurvivesBrokerLoss runs three nodes over two brokers,
+// the replicated media of NodeConfig.BrokerB, and closes broker A under
+// them: the site keeps its full view on medium B alone, and still detects
+// and agrees on a crash.
+func TestLiveDualMediaSurvivesBrokerLoss(t *testing.T) {
+	scfg := liveConfig(120*time.Millisecond, 60*time.Millisecond, 300*time.Millisecond)
+	dir := t.TempDir()
+	var brokers [2]*Broker
+	var addrs [2]string
+	for i := range brokers {
+		addrs[i] = "unix:" + filepath.Join(dir, fmt.Sprintf("medium%d.sock", i))
+		b, err := ListenBroker(addrs[i], BrokerConfig{Rate: can.Rate125Kbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Close)
+		brokers[i] = b
+	}
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nd, err := StartNode(NodeConfig{
+			ID:      can.NodeID(i),
+			Broker:  addrs[0],
+			BrokerB: addrs[1],
+			Stack:   scfg,
+			Dial:    DialConfig{BackoffMin: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Close)
+		nodes[i] = nd
+	}
+	full := can.RangeSet(0, 3)
+	for _, nd := range nodes {
+		nd.Bootstrap(full)
+	}
+	agree := func(want can.NodeSet, nodes ...*Node) func() bool {
+		return func() bool {
+			for _, nd := range nodes {
+				if nd.View() != want {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	waitFor(t, 5*time.Second, "bootstrap steady state", agree(full, nodes...))
+
+	brokers[0].Close()
+	waitFor(t, 5*time.Second, "nodes to notice broker A is gone", func() bool {
+		for _, nd := range nodes {
+			if nd.Connected() {
+				return false
+			}
+		}
+		return true
+	})
+	time.Sleep(3 * time.Second)
+	for i, nd := range nodes {
+		if v := nd.View(); v != full {
+			t.Fatalf("node %d view %v on medium B alone, want %v", i, v, full)
+		}
+	}
+
+	nodes[2].Crash()
+	waitFor(t, 10*time.Second, "crash detection and agreement on medium B", agree(can.MakeSet(0, 1), nodes[0], nodes[1]))
+}
+
 // TestMediumRejectsRateMismatch asserts the fail-fast path for
 // misconfigured clusters.
 func TestMediumRejectsRateMismatch(t *testing.T) {

@@ -3,8 +3,9 @@ package stack
 // The Medium conformance suite: the contract every medium a stack binds to
 // must honour — attach discipline, mailbox replacement, abort and
 // pending-probe semantics, crash (fail-silence) behaviour, the Elapsed time
-// base — asserted once, through the Medium and Port interfaces only, and run
-// against both NewMedium substrates and the internal/datagram network.
+// base — asserted once, through the Medium and Port interfaces plus the
+// probes below, and run against both NewMedium substrates and the
+// internal/datagram network.
 // Substrate-specific behaviour (arbitration, clustering, fault confinement,
 // loss, per-link distributions) is tested in the substrate's own package.
 
@@ -18,12 +19,23 @@ import (
 	"canely/internal/sim"
 )
 
-// probedPort is a Port plus the two queue probes every substrate's port
-// offers beyond the interface the stack needs.
+// probedPort is a Port plus the probes every substrate's port offers
+// beyond the interface the stack needs.
 type probedPort interface {
 	Port
+	Alive() bool
+	TxSuccesses() int
 	Pending(id uint32) bool
 	QueueLen() int
+}
+
+// probedMedium is a Medium plus the time base and liveness queries every
+// substrate offers beyond the interface the stack needs.
+type probedMedium interface {
+	Medium
+	Rate() can.BitRate
+	AliveSet() can.NodeSet
+	Elapsed() time.Duration
 }
 
 // sink records what a port's handler is told.
@@ -46,7 +58,7 @@ func (s *sink) OnBusOff()           {}
 // rig is one medium with n attached ports, each feeding its own sink.
 type rig struct {
 	sched  *sim.Scheduler
-	medium Medium
+	medium probedMedium
 	ports  []probedPort
 	sinks  []*sink
 }
@@ -63,11 +75,15 @@ func (m dgMedium) Attach(id can.NodeID) Port { return m.Net.Attach(id) }
 func newRig(t *testing.T, newMedium mediumFactory, n int) *rig {
 	t.Helper()
 	r := &rig{sched: sim.NewScheduler()}
-	r.medium = newMedium(r.sched)
+	m, ok := newMedium(r.sched).(probedMedium)
+	if !ok {
+		t.Fatalf("%s medium lacks the Rate/AliveSet/Elapsed probes", t.Name())
+	}
+	r.medium = m
 	for i := 0; i < n; i++ {
 		p, ok := r.medium.Attach(can.NodeID(i)).(probedPort)
 		if !ok {
-			t.Fatalf("%s port lacks the Pending/QueueLen probes", t.Name())
+			t.Fatalf("%s port lacks the Alive/TxSuccesses/Pending/QueueLen probes", t.Name())
 		}
 		s := &sink{}
 		p.SetHandler(s)

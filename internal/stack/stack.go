@@ -49,43 +49,27 @@ import (
 
 // Port is the per-node endpoint a Medium exposes: the exposed controller
 // interface of Figure 4 (transmit request, abort, pending probes, the
-// indication callback registration) plus the crash/fault-confinement
-// surface the facade and the redundancy layer observe.
+// indication callback registration), crash and operational status (the
+// redundancy.Port surface), and the fault-confinement state the facade
+// reports.
 type Port interface {
-	canlayer.Controller
-	// Crash fail-silences the node on this medium.
-	Crash()
-	// Alive reports whether the node has not crashed.
-	Alive() bool
-	// Operational reports whether the controller exchanges traffic (alive
-	// and not bus-off).
-	Operational() bool
+	redundancy.Port
 	// State returns the fault-confinement state.
 	State() bus.ControllerState
 	// Counters returns (TEC, REC).
 	Counters() (tec, rec int)
-	// TxSuccesses returns the number of successfully transmitted frames.
-	TxSuccesses() int
-	// RxSuccesses returns the number of successfully received frames.
-	RxSuccesses() int
 }
 
-// Medium is one simulated channel: nodes attach Ports to it, and it answers
-// the timing and accounting queries the experiments take their measurements
-// from. Delivery and confirmation flow through the bus.Handler each Port's
-// SetHandler installs.
+// Medium is one channel: nodes attach Ports to it, and it answers the wire
+// statistics the experiments take their measurements from. Delivery and
+// confirmation flow through the bus.Handler each Port's SetHandler
+// installs.
 type Medium interface {
 	// Attach connects a new controller for the node. Attaching an id twice
 	// panics.
 	Attach(id can.NodeID) Port
-	// Rate returns the signalling rate.
-	Rate() can.BitRate
-	// AliveSet returns the set of operational nodes.
-	AliveSet() can.NodeSet
 	// Stats returns a snapshot of the accumulated wire statistics.
 	Stats() bus.Stats
-	// Elapsed returns the medium's time base for utilization computations.
-	Elapsed() time.Duration
 }
 
 // Hooks is the uniform observation surface at the stack's layer
@@ -136,11 +120,10 @@ type Stack struct {
 
 	// Ports holds the per-medium attachments in medium order.
 	Ports []Port
-	// Dual is the media-redundancy selection unit (nil single-medium).
-	Dual *redundancy.DualPort
-	// Ctrl is the exposed controller interface the standard layer drives:
-	// Ports[0], the DualPort, or the hook interposer.
-	Ctrl canlayer.Controller
+	// Ctrl is the exposed controller interface the standard layer drives
+	// (through the hook interposer when hooks are set): Ports[0], or the
+	// media-redundancy DualPort over both media.
+	Ctrl redundancy.Port
 	// Layer is the CAN standard layer with the can-data.nty extension.
 	Layer *canlayer.Layer
 	// Core is the composite sans-I/O protocol core this binding drives.
@@ -188,15 +171,14 @@ func New(sched *sim.Scheduler, media []Medium, id can.NodeID, cfg Config, tr *tr
 	for _, m := range media {
 		st.Ports = append(st.Ports, m.Attach(id))
 	}
-	var ctrl canlayer.Controller = st.Ports[0]
+	st.Ctrl = st.Ports[0]
 	if len(media) == 2 {
-		st.Dual = redundancy.NewDualPort(sched, st.Ports[0], st.Ports[1])
-		ctrl = st.Dual
+		st.Ctrl = redundancy.NewDualPort(sched, st.Ports[0], st.Ports[1])
 	}
+	var ctrl canlayer.Controller = st.Ctrl
 	if hooks != nil {
 		ctrl = &hookedController{Controller: ctrl, node: id, hooks: hooks}
 	}
-	st.Ctrl = ctrl
 	st.Layer = canlayer.New(ctrl)
 	cn, err := core.New(id, core.Config{FD: cfg.FD, Membership: cfg.Membership})
 	if err != nil {
@@ -385,30 +367,10 @@ func (st *Stack) FDARequest(failed can.NodeID) {
 func (st *Stack) ID() can.NodeID { return st.id }
 
 // Crash fail-silences the node on every attached medium.
-func (st *Stack) Crash() {
-	if st.Dual != nil {
-		st.Dual.Crash()
-		return
-	}
-	st.Ports[0].Crash()
-}
+func (st *Stack) Crash() { st.Ctrl.Crash() }
 
 // Alive reports whether the node is operational on at least one medium.
-func (st *Stack) Alive() bool {
-	if st.Dual != nil {
-		return st.Dual.Operational()
-	}
-	return st.Ports[0].Operational()
-}
-
-// ActiveMedium returns the index of the medium the node currently receives
-// from (always 0 single-medium).
-func (st *Stack) ActiveMedium() int {
-	if st.Dual == nil {
-		return 0
-	}
-	return st.Dual.Active()
-}
+func (st *Stack) Alive() bool { return st.Ctrl.Operational() }
 
 // siteView adapts the stack to the groups service's site membership
 // dependency.

@@ -402,7 +402,7 @@ func TestSubstrateEquivalenceFederation(t *testing.T) {
 }
 
 // TestSubstrateEquivalenceDualMedia exercises the media-redundancy path:
-// the selection unit must behave identically over both substrates.
+// the first-copy merge must behave identically over both substrates.
 func TestSubstrateEquivalenceDualMedia(t *testing.T) {
 	sc := eqScenario{
 		nodes: 6,
