@@ -28,6 +28,7 @@ package datagram
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"canely/internal/bus"
@@ -87,7 +88,11 @@ type Net struct {
 	order []can.NodeID
 	alive can.NodeSet
 
-	links map[uint16]*link
+	// links is indexed [from][to]; a sender's row is allocated when it
+	// first transmits.
+	links [can.MaxNodes]*[can.MaxNodes]link
+	// free recycles in-flight copy records.
+	free []*inflight
 
 	// stats reads BitsBusy as aggregate serialized bits across all
 	// interfaces (there is no shared wire to occupy), FramesError as
@@ -98,10 +103,20 @@ type Net struct {
 }
 
 // link is the state of one ordered (from, to) pair: its distribution and
-// its private sampling stream.
+// its private sampling stream (nil until the link first carries a frame).
 type link struct {
 	p   LinkParams
 	rng *sim.RNG
+}
+
+// inflight is one copy travelling toward dst. Records are recycled through
+// Net.free and fire is bound once per record, so scheduling an arrival
+// makes no closure.
+type inflight struct {
+	net  *Net
+	dst  *Port
+	f    can.Frame
+	fire func()
 }
 
 // New builds a network on the given scheduler.
@@ -120,7 +135,6 @@ func New(sched *sim.Scheduler, cfg Config) *Net {
 		rate:  cfg.Rate,
 		cfg:   cfg,
 		root:  sim.NewRNG(cfg.Seed),
-		links: make(map[uint16]*link),
 	}
 }
 
@@ -135,6 +149,7 @@ func (n *Net) Attach(id can.NodeID) *Port {
 		panic(fmt.Sprintf("datagram: node %v attached twice", id))
 	}
 	p := &Port{net: n, id: id, alive: true}
+	p.completeFn = p.complete
 	n.ports[id] = p
 	n.order = append(n.order, id)
 	n.alive = n.alive.Add(id)
@@ -159,19 +174,28 @@ func (n *Net) Dropped() int { return n.stats.FramesError }
 
 // linkFor returns (lazily creating) the state of the ordered link.
 func (n *Net) linkFor(from, to can.NodeID) *link {
-	key := uint16(from)<<8 | uint16(to)
-	if l := n.links[key]; l != nil {
+	row := n.links[from]
+	if row == nil {
+		row = new([can.MaxNodes]link)
+		n.links[from] = row
+	}
+	l := &row[to]
+	if l.rng != nil {
 		return l
 	}
-	p := n.cfg.Link
+	l.p = n.cfg.Link
 	if n.cfg.PerLink != nil {
-		p = n.cfg.PerLink(from, to)
-		if err := p.Validate(); err != nil {
+		l.p = n.cfg.PerLink(from, to)
+		if err := l.p.Validate(); err != nil {
 			panic(err)
 		}
 	}
-	l := &link{p: p, rng: n.root.Split(fmt.Sprintf("link/%d->%d", from, to))}
-	n.links[key] = l
+	var buf [16]byte
+	name := append(buf[:0], "link/"...)
+	name = strconv.AppendUint(name, uint64(from), 10)
+	name = append(name, "->"...)
+	name = strconv.AppendUint(name, uint64(to), 10)
+	l.rng = n.root.Split(string(name))
 	return l
 }
 
@@ -213,10 +237,26 @@ func (n *Net) deliver(from, to can.NodeID, f can.Frame) {
 // in flight hears nothing, but a sender crash cannot recall it.
 func (n *Net) arrive(dst *Port, f can.Frame, l *link) {
 	delay := sim.Duration(l.p.DelayMin) + l.rng.Duration(sim.Duration(l.p.DelayJitter))
-	n.sched.After(delay, func() {
-		if dst.alive && dst.handler != nil {
-			dst.rxOK++
-			dst.handler.OnFrame(f, false)
-		}
-	})
+	var c *inflight
+	if k := len(n.free); k > 0 {
+		c = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		c = &inflight{net: n}
+		c.fire = c.land
+	}
+	c.dst, c.f = dst, f
+	n.sched.After(delay, c.fire)
+}
+
+// land delivers the copy. The record returns to the free list before the
+// handler runs, so nothing the handler sets off can find it still in use.
+func (c *inflight) land() {
+	dst, f := c.dst, c.f
+	c.dst = nil
+	c.net.free = append(c.net.free, c)
+	if dst.alive && dst.handler != nil {
+		dst.rxOK++
+		dst.handler.OnFrame(f, false)
+	}
 }

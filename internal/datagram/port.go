@@ -20,6 +20,9 @@ type Port struct {
 	current   can.Frame
 	serializg bool
 	queue     []can.Frame
+	// completeFn is the pre-bound p.complete: a method value built per
+	// frame would allocate.
+	completeFn func()
 
 	alive bool
 	txOK  int
@@ -75,13 +78,14 @@ func (p *Port) Request(f can.Frame) error {
 	return nil
 }
 
-// startNext begins serializing the head of the queue.
+// startNext begins serializing the head of the queue. The rest shifts down
+// in place, so the backing array is reused by later requests.
 func (p *Port) startNext() {
 	p.current = p.queue[0]
-	p.queue = p.queue[1:]
+	p.queue = p.queue[:copy(p.queue, p.queue[1:])]
 	p.serializg = true
 	dur := p.net.rate.DurationOf(can.FrameBits(p.current))
-	p.net.sched.After(dur, p.complete)
+	p.net.sched.After(dur, p.completeFn)
 }
 
 // complete finishes the serialization of p.current: confirm the sender,

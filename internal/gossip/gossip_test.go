@@ -236,3 +236,24 @@ func TestAttachAfterTrafficStarts(t *testing.T) {
 		t.Fatal("late attachment observed traffic from before it existed")
 	}
 }
+
+// TestNetworkSteadyStateAllocFree pins the gossip binding's hot path at
+// zero allocations: 48 nodes on a lossy datagram network, warmed up for
+// five virtual seconds so every link stream is seeded and every buffer,
+// queue and scheduler slab has grown, then advanced one virtual second per
+// run. Arrivals, serializations and timer expiries must not touch the heap.
+func TestNetworkSteadyStateAllocFree(t *testing.T) {
+	const nodes = 48
+	nw, err := NewNetwork(NetworkConfig{
+		Nodes: nodes, Core: DefaultConfig(), Rate: can.Rate1Mbps, Seed: 1,
+		Link: datagram.LinkParams{Drop: 0.05, DelayMin: 200 * time.Microsecond, DelayJitter: 100 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Bootstrap(can.RangeSet(0, nodes))
+	nw.RunFor(5 * time.Second)
+	if n := testing.AllocsPerRun(3, func() { nw.RunFor(time.Second) }); n != 0 {
+		t.Fatalf("steady state allocated %v objects per virtual second, want 0", n)
+	}
+}

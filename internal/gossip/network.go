@@ -46,6 +46,9 @@ type boundNode struct {
 	core   *Core
 	port   *datagram.Port
 	timers [proto.NumTimers]sim.Event
+	// expire holds one pre-bound expiry callback per timer, so arming a
+	// timer makes no closure.
+	expire [proto.NumTimers]func()
 	buf    proto.CommandBuf
 }
 
@@ -71,6 +74,12 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 		n := &boundNode{nw: nw, id: id, core: core, port: nw.Net.Attach(id)}
 		n.port.SetHandler(n)
+		for t := range n.expire {
+			timer := proto.TimerID(t)
+			n.expire[t] = func() {
+				n.step(proto.Event{Kind: proto.EvTimerFired, At: nw.Sched.Now(), Timer: timer})
+			}
+		}
 		nw.nodes = append(nw.nodes, n)
 	}
 	return nw, nil
@@ -138,10 +147,7 @@ func (n *boundNode) step(ev proto.Event) {
 			_ = n.port.Request(f) // rejected only after a crash
 		case proto.CmdSetTimer:
 			n.timers[c.Timer].Cancel()
-			id := c.Timer
-			n.timers[c.Timer] = n.nw.Sched.After(c.Delay, func() {
-				n.step(proto.Event{Kind: proto.EvTimerFired, At: n.nw.Sched.Now(), Timer: id})
-			})
+			n.timers[c.Timer] = n.nw.Sched.After(c.Delay, n.expire[c.Timer])
 		case proto.CmdCancelTimer:
 			n.timers[c.Timer].Cancel()
 		}

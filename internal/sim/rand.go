@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random stream. Components never share a stream:
 // each derives its own via Split, so adding a consumer of randomness in one
@@ -36,14 +33,19 @@ func (g *RNG) src() *rand.Rand {
 func (g *RNG) Seed() int64 { return g.seed }
 
 // Split derives an independent child stream, named so derivation is stable
-// across runs (e.g. Split("bus"), Split("node/3")).
+// across runs (e.g. Split("bus"), Split("node/3")). The child seed is the
+// parent seed XOR the 64-bit FNV-1a hash of the name, computed inline so
+// that the RNG is the only allocation.
 func (g *RNG) Split(name string) *RNG {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	child := g.seed ^ int64(h.Sum64())
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
+	child := g.seed ^ int64(h)
 	// Avoid the degenerate all-zero seed.
 	if child == 0 {
-		child = int64(h.Sum64()) | 1
+		child = int64(h) | 1
 	}
 	return NewRNG(child)
 }

@@ -288,6 +288,47 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestRNGSplitGolden pins child seeds: every stream in the repository (bus,
+// fault scripts, datagram links) derives from Split, so a change in the
+// derivation would silently shift every seeded run.
+func TestRNGSplitGolden(t *testing.T) {
+	for _, tc := range []struct {
+		seed  int64
+		name  string
+		child int64
+	}{
+		{0, "bus", 27335066277015833},
+		{0, "node/3", -1829175297501704209},
+		{0, "link/0->47", -7991227666881069036},
+		{0, "", -3750763034362895579},
+		{1, "bus", 27335066277015832},
+		{1, "node/3", -1829175297501704210},
+		{1, "link/0->47", -7991227666881069035},
+		{1, "", -3750763034362895580},
+		{-1, "bus", -27335066277015834},
+		{-1, "node/3", 1829175297501704208},
+		{-1, "link/0->47", 7991227666881069035},
+		{-1, "", 3750763034362895578},
+		{1 << 62, "bus", 4639021084704403737},
+		{1 << 62, "node/3", -6440861315929092113},
+		{1 << 62, "link/0->47", -3379541648453681132},
+		{1 << 62, "", -8362449052790283483},
+		// seed == hash(""): the XOR is zero and the degenerate-seed guard
+		// substitutes hash|1.
+		{-3750763034362895579, "", -3750763034362895579},
+	} {
+		if got := NewRNG(tc.seed).Split(tc.name).Seed(); got != tc.child {
+			t.Errorf("NewRNG(%d).Split(%q) seed %d, want %d", tc.seed, tc.name, got, tc.child)
+		}
+	}
+	root := NewRNG(7)
+	var sink *RNG
+	if n := testing.AllocsPerRun(100, func() { sink = root.Split("link/0->47") }); n > 1 {
+		t.Errorf("Split allocated %v objects, want at most 1 (the RNG)", n)
+	}
+	_ = sink
+}
+
 func TestRNGBoolEdges(t *testing.T) {
 	g := NewRNG(1)
 	for i := 0; i < 32; i++ {
